@@ -27,7 +27,7 @@ void InvariantSink::report(std::string_view checker, Rank rank, std::string mess
       if (throw_scheduled_) return;
       throw_scheduled_ = true;
       // Throwing here would be swallowed if we are inside a simulated
-      // process (Process::thread_main catches everything); a zero-delay
+      // process (Process::fiber_main catches everything); a zero-delay
       // kernel event always unwinds out of Simulator::run instead.
       const Violation& first = violations_.back();
       sim_->schedule_now([first] {

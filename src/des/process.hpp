@@ -1,20 +1,21 @@
 // Simulated process.
 //
-// A Process runs a user-supplied body on a dedicated std::jthread, but the
-// kernel guarantees that at most one simulated thread executes at any wall
-// instant: the process and the kernel hand a baton back and forth through
-// two binary semaphores. Blocking primitives (delay, semaphores, mailboxes)
-// park the thread on its own semaphore; a waker schedules a kernel event
-// that releases it. Killing a process throws ProcessKilled at its current
-// suspension point so that stack unwinding runs RAII cleanups.
+// A Process runs a user-supplied body on its own stack (a des::Fiber, see
+// fiber.hpp) on the simulator's OS thread. The kernel switches into the
+// process from an event callback and the process switches back when it
+// blocks or finishes, so exactly one of them runs at any instant and no
+// state is ever shared between OS threads. Blocking primitives (delay,
+// semaphores, mailboxes) park the process in suspend(); a waker schedules
+// a kernel event that switches back into it. Killing a process throws
+// ProcessKilled at its current suspension point, on its own stack, so that
+// unwinding runs RAII cleanups.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <semaphore>
 #include <string>
-#include <thread>
 
+#include "des/fiber.hpp"
 #include "des/simulator.hpp"
 #include "des/time.hpp"
 
@@ -63,7 +64,7 @@ class Process {
 
   enum class State : std::uint8_t {
     kCreated,   ///< spawn event scheduled, body not yet entered
-    kRunning,   ///< currently holds the baton
+    kRunning,   ///< executing on its fiber
     kReady,     ///< resume event scheduled
     kBlocked,   ///< parked in suspend()
     kFinished,  ///< body returned / unwound
@@ -71,7 +72,9 @@ class Process {
 
   Process(Simulator& sim, std::uint64_t id, std::string name, ProcessFn body);
 
-  void thread_main(ProcessFn body) noexcept;
+  /// Fiber entry: runs the body (unless killed before it started), then
+  /// reports the exit. Returning from here finishes the fiber.
+  static void fiber_main(void* self) noexcept;
   void check_in_body() const;
 
   Simulator* sim_;
@@ -80,9 +83,9 @@ class Process {
   State state_ = State::kCreated;
   bool killed_ = false;
   std::string error_;
-  InlineFn cancel_;                       // valid while kBlocked
-  std::binary_semaphore run_baton_{0};    // kernel -> process
-  std::jthread thread_;                   // last member: starts running in ctor
+  InlineFn cancel_;  // valid while kBlocked
+  ProcessFn body_;   // moved out when the fiber starts
+  Fiber fiber_;
 };
 
 }  // namespace chk::des

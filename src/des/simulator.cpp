@@ -26,9 +26,10 @@ Simulator::~Simulator() { shutdown(); }
 
 void Simulator::shutdown() noexcept {
   assert(current_ == nullptr && "shutdown must run in kernel context");
-  // Tear down any processes that are still alive: wake each with the kill
-  // flag set so its stack unwinds (running destructors) and its thread
-  // exits. The baton protocol keeps this serialized.
+  // Tear down any processes that are still alive: switch into each with the
+  // kill flag set so its stack unwinds (running destructors) and its fiber
+  // finishes. current_ stays nullptr throughout, so a destructor that tries
+  // to block fails check_in_body() instead of parking a dying process.
   for (auto& proc : processes_) {
     if (proc->state_ == Process::State::kFinished) continue;
     proc->killed_ = true;
@@ -41,19 +42,10 @@ void Simulator::shutdown() noexcept {
       cancel();
     }
     proc->cancel_.reset();
-    // Guard against double-release: the cancel callback above ran arbitrary
-    // wait-list code. If anything in that unwind finished this process (it
-    // must not, but the failure mode — releasing the baton of a thread
-    // that already exited, then blocking forever on kernel_baton_ — is a
-    // hang, not a diagnosable crash), skip the handoff.
-    if (proc->state_ == Process::State::kFinished) continue;
-    proc->run_baton_.release();
-    kernel_baton_.acquire();  // wait for the thread to unwind & yield back
+    proc->fiber_.resume();
     assert(proc->state_ == Process::State::kFinished &&
            "process failed to unwind during shutdown");
   }
-  // jthread members join in Process destructors (or immediately here for
-  // explicit shutdown: a finished thread joins without blocking).
 }
 
 // ---------------------------------------------------------------------------
@@ -221,7 +213,7 @@ void Simulator::resume(Process& process) {
   process.state_ = Process::State::kReady;
   // The state re-check mirrors the spawn event: shutdown() can finish the
   // process between scheduling and firing, and run()-after-shutdown must
-  // not hand the baton to a thread that already exited.
+  // not switch into a fiber that has already finished.
   schedule_now([this, &process] {
     if (process.state_ == Process::State::kReady) switch_to(process);
   });
@@ -232,8 +224,7 @@ void Simulator::switch_to(Process& process) {
   assert(process.state_ == Process::State::kReady);
   current_ = &process;
   process.state_ = Process::State::kRunning;
-  process.run_baton_.release();
-  kernel_baton_.acquire();
+  process.fiber_.resume();
   current_ = nullptr;
 }
 
@@ -322,27 +313,28 @@ Process::Process(Simulator& sim, std::uint64_t id, std::string name, ProcessFn b
     : sim_(&sim),
       id_(id),
       name_(std::move(name)),
-      thread_([this, fn = std::move(body)]() mutable { thread_main(std::move(fn)); }) {}
+      body_(std::move(body)),
+      fiber_(&Process::fiber_main, this) {}
 
 Process::~Process() = default;
 
-void Process::thread_main(ProcessFn body) noexcept {
-  run_baton_.acquire();  // wait for the first dispatch
-  if (!killed_) {
+void Process::fiber_main(void* self) noexcept {
+  auto& proc = *static_cast<Process*>(self);
+  ProcessFn body = std::move(proc.body_);
+  if (!proc.killed_) {
     try {
-      body(*this);
+      body(proc);
     } catch (const ProcessKilled&) {
       // normal teardown path
     } catch (const std::exception& e) {
-      error_ = e.what();
-      CHK_ERROR("des", "process '{}' died with exception: {}", name_, error_);
+      proc.error_ = e.what();
+      CHK_ERROR("des", "process '{}' died with exception: {}", proc.name_, proc.error_);
     } catch (...) {
-      error_ = "unknown exception";
-      CHK_ERROR("des", "process '{}' died with unknown exception", name_);
+      proc.error_ = "unknown exception";
+      CHK_ERROR("des", "process '{}' died with unknown exception", proc.name_);
     }
   }
-  sim_->on_process_exit(*this);
-  sim_->kernel_baton_.release();  // final yield; thread ends here
+  proc.sim_->on_process_exit(proc);
 }
 
 void Process::check_in_body() const {
@@ -356,8 +348,7 @@ void Process::suspend(InlineFn cancel) {
   check_in_body();
   cancel_ = std::move(cancel);
   state_ = State::kBlocked;
-  sim_->kernel_baton_.release();
-  run_baton_.acquire();
+  fiber_.suspend();
   cancel_.reset();
   state_ = State::kRunning;
   if (killed_) throw ProcessKilled{};

@@ -2,10 +2,12 @@
 //
 // The Simulator owns a totally ordered event queue keyed by (time, sequence
 // number) — equal-time events run in schedule order, so runs with the same
-// seed are bit-identical. Simulated processes (see process.hpp) are backed
-// by real threads, but the kernel hands execution to exactly one thread at
-// a time through binary semaphores; there is therefore never concurrent
-// access to simulator state and the simulation is deterministic.
+// seed are bit-identical. Simulated processes (see process.hpp) run on
+// their own stacks (des::Fiber) but on the Simulator's one OS thread: the
+// kernel switches into a process from an event callback and regains
+// control when the process blocks or finishes. There is therefore never
+// concurrent access to simulator state and the simulation is
+// deterministic. Independent Simulators may run on separate OS threads.
 //
 // Event storage is built for raw events/sec (the kernel is the hot path of
 // every 256+-rank sweep):
@@ -39,7 +41,6 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <semaphore>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -272,7 +273,7 @@ class Simulator {
   RunResult run(TimePoint until = TimePoint::max(),
                 std::uint64_t max_events = std::uint64_t{1} << 62);
 
-  /// Kill every live process and join its thread (stacks unwind through
+  /// Kill every live process and finish its fiber (stacks unwind through
   /// their RAII cleanups NOW, while the objects they reference are still
   /// alive). Call before destroying any object a process might touch; the
   /// destructor runs this as a backstop. Idempotent, and must only be
@@ -345,10 +346,10 @@ class Simulator {
   // Schedules a context switch into `process` at the current instant.
   // Precondition: the process is blocked or not yet started.
   void resume(Process& process);
-  // Transfers execution to the process thread and waits for it to yield
-  // back. Called only from kernel context.
+  // Switches into the process's fiber and returns when it suspends or
+  // finishes. Called only from kernel context.
   void switch_to(Process& process);
-  // Called on the process thread as its final act before exiting.
+  // Called on the process's fiber as its final act before finishing.
   void on_process_exit(Process& process) noexcept;
 
   // -- event pool + heap -----------------------------------------------------
@@ -381,7 +382,6 @@ class Simulator {
   std::size_t queue_peak_ = 0;
 
   std::vector<std::unique_ptr<Process>> processes_;
-  std::binary_semaphore kernel_baton_{0};  // process -> kernel
 };
 
 inline bool EventHandle::pending() const noexcept {

@@ -67,6 +67,17 @@ TEST(ChklintRules, NoAmbientNondeterminismFires) {
     EXPECT_NE(r.output.find(banned), std::string::npos) << banned << "\n" << r.output;
 }
 
+TEST(ChklintRules, NoAmbientNondeterminismFiresOnThreadsInSrc) {
+  const RunResult r = run_chklint(fixture("bad_threads"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("src/kernel.cpp"), std::string::npos) << r.output;
+  for (const char* banned : {"binary_semaphore", "counting_semaphore", "jthread", "std::thread"})
+    EXPECT_NE(r.output.find(banned), std::string::npos) << banned << "\n" << r.output;
+  EXPECT_NE(r.output.find("4 finding(s)"), std::string::npos) << r.output;
+  // bench/ drivers may run whole simulators on threads.
+  EXPECT_EQ(r.output.find("bench/driver.cpp"), std::string::npos) << r.output;
+}
+
 TEST(ChklintRules, UniqueForkTagsFiresOnCollisionAndNonLiteral) {
   const RunResult r = run_chklint(fixture("bad_fork_tags"));
   EXPECT_EQ(r.exit_code, 1) << r.output;

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <array>
+#include <csignal>
+#include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -662,7 +666,7 @@ TEST(Simulator, ShutdownAfterNaturalFinishIsNoop) {
   sim.spawn("quick", [](Process& self) { self.delay(Duration::millis(1)); });
   sim.run();
   EXPECT_EQ(sim.live_processes(), 0u);
-  sim.shutdown();  // thread already exited; must not release its baton
+  sim.shutdown();  // fiber already finished; must not switch into it
   EXPECT_EQ(sim.live_processes(), 0u);
 }
 
@@ -679,8 +683,8 @@ TEST(Simulator, ShutdownWithReadyProcessThenRunAgain) {
   sim.run(TimePoint::max(), 2);
   sim.shutdown();
   EXPECT_TRUE(waiter.finished());
-  // The stale resume event must be inert — running again must neither hand
-  // the baton to the dead thread (hang) nor crash.
+  // The stale resume event must be inert — running again must not switch
+  // into the finished fiber (its stack is already unmapped) nor crash.
   const auto result = sim.run();
   EXPECT_EQ(result.reason, StopReason::kIdle);
 }
@@ -718,6 +722,123 @@ TEST(InlineFn, MoveTransfersOwnershipAndResetReleases) {
   b.reset();
   EXPECT_TRUE(watch.expired());
   EXPECT_FALSE(static_cast<bool>(b));
+}
+
+// ---------------------------------------------------------------------------
+// Fibers: every process has its own stack and its own exception state.
+// ---------------------------------------------------------------------------
+
+TEST(Fiber, ExceptionStateIsPerProcess) {
+  // Three processes are suspended at once in exception-handling states: C
+  // inside a destructor mid-unwind (one exception in flight), A and B each
+  // inside their own catch block. Each must see only its own state: `throw;`
+  // rethrows the process's own exception and the in-flight count never
+  // leaks between processes. With one exception state shared by all
+  // processes on the thread, A's `throw;` would rethrow B's exception.
+  Simulator sim;
+  std::string a_rethrown, b_rethrown, c_caught;
+  std::vector<int> a_uncaught, b_uncaught;
+  int c_uncaught_in_unwind = -1;
+
+  struct ParkWhileUnwinding {
+    Process& self;
+    int& uncaught;
+    ~ParkWhileUnwinding() {
+      uncaught = std::uncaught_exceptions();
+      self.delay(Duration::millis(3));
+    }
+  };
+  sim.spawn("C", [&](Process& self) {
+    try {
+      ParkWhileUnwinding guard{self, c_uncaught_in_unwind};
+      throw std::runtime_error("C");
+    } catch (const std::exception& e) {
+      c_caught = e.what();
+    }
+  });
+  sim.spawn("A", [&](Process& self) {
+    try {
+      throw std::runtime_error("A");
+    } catch (...) {
+      a_uncaught.push_back(std::uncaught_exceptions());
+      self.delay(Duration::millis(1));  // B throws and catches meanwhile
+      a_uncaught.push_back(std::uncaught_exceptions());
+      try {
+        throw;
+      } catch (const std::exception& e) {
+        a_rethrown = e.what();
+      }
+    }
+  });
+  sim.spawn("B", [&](Process& self) {
+    try {
+      throw std::logic_error("B");
+    } catch (...) {
+      b_uncaught.push_back(std::uncaught_exceptions());
+      self.delay(Duration::millis(2));  // A rethrows meanwhile
+      b_uncaught.push_back(std::uncaught_exceptions());
+      try {
+        throw;
+      } catch (const std::logic_error& e) {
+        b_rethrown = e.what();
+      }
+    }
+  });
+  const auto result = sim.run();
+  EXPECT_EQ(result.reason, StopReason::kIdle);
+  EXPECT_EQ(a_rethrown, "A");
+  EXPECT_EQ(b_rethrown, "B");
+  EXPECT_EQ(c_caught, "C");
+  EXPECT_EQ(a_uncaught, (std::vector<int>{0, 0}));
+  EXPECT_EQ(b_uncaught, (std::vector<int>{0, 0}));
+  EXPECT_EQ(c_uncaught_in_unwind, 1);
+  // The kernel's own state is untouched by all of the above.
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+  EXPECT_EQ(std::current_exception(), nullptr);
+  for (const auto& proc : sim.processes()) EXPECT_EQ(proc->error(), "") << proc->name();
+}
+
+[[gnu::noinline]] int recurse_without_bound(int depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth == std::numeric_limits<int>::max()) return 0;  // unreachable: the stack is 8 MiB
+  return recurse_without_bound(depth + 1) + frame[0];
+}
+
+TEST(FiberDeathTest, RunawayRecursionFaultsOnTheGuardPage) {
+  const auto overflow = [] {
+    Simulator sim;
+    sim.spawn("neighbour", [](Process& self) { self.delay(Duration::secs(1)); });
+    sim.spawn("runaway", [](Process&) { recurse_without_bound(0); });
+    sim.run();
+  };
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan's own SIGSEGV handler reports the overflow and exits.
+  EXPECT_DEATH(overflow(), "stack-overflow");
+#else
+  EXPECT_EXIT(overflow(), testing::KilledBySignal(SIGSEGV), "");
+#endif
+}
+
+TEST(Fiber, FinishedProcessesReleaseTheirStacks) {
+  // 40 000 short-lived processes, one after another. Each live stack costs
+  // two address-space mappings (stack + guard page); keeping them until the
+  // Simulator dies would pass the default vm.max_map_count of 65 530 and
+  // spawn would fail. A stack must be unmapped when its process finishes.
+  constexpr int kProcesses = 40'000;
+  Simulator sim;
+  int finished = 0;
+  ProcessFn body = [&](Process& self) {
+    self.yield();
+    if (++finished < kProcesses) sim.spawn("short-lived", body);
+  };
+  sim.spawn("short-lived", body);
+  const auto result = sim.run();
+  EXPECT_EQ(result.reason, StopReason::kIdle);
+  EXPECT_EQ(finished, kProcesses);
+  EXPECT_EQ(sim.processes().size(), static_cast<std::size_t>(kProcesses));
+  EXPECT_EQ(sim.live_processes(), 0u);
+  for (const auto& proc : sim.processes()) ASSERT_EQ(proc->error(), "") << proc->name();
 }
 
 }  // namespace

@@ -122,14 +122,32 @@ void rule_no_ambient_nondeterminism(const Context& ctx, std::vector<Finding>& ou
       "localtime",     "gmtime",        "system_clock", "steady_clock",
       "high_resolution_clock", "default_random_engine"};
   static const std::set<std::string_view> kBannedCalls = {"rand", "time", "clock"};
+  // OS threads interleave at the host scheduler's whim. Inside src/ every
+  // simulated process is a des::Fiber on its simulator's one thread; only
+  // drivers (bench/) may run whole simulators on worker threads.
+  static const std::set<std::string_view> kBannedInSrc = {"jthread", "binary_semaphore",
+                                                          "counting_semaphore"};
 
   for (const SourceFile& file : *ctx.files) {
     // util::Rng is the one place allowed to own raw generator machinery.
     if (file.path.find("util/rng.") != std::string::npos) continue;
+    const bool in_src = under(file.path, "src");
     const Tokens& toks = file.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
       if (toks[i].kind != Tok::kIdent) continue;
       const std::string_view name = toks[i].text;
+      const bool std_thread =
+          name == "thread" && i >= 2 && is(toks[i - 1], "::") && is(toks[i - 2], "std");
+      if (in_src && (kBannedInSrc.contains(name) || std_thread)) {
+        std::string msg = "'";
+        msg.append(std_thread ? "std::thread" : name);
+        msg += "' is an OS thread primitive, scheduled nondeterministically; "
+               "simulated processes are des::Fiber contexts on the simulator's "
+               "thread (only bench/ drivers may run whole simulators on threads)";
+        out.push_back({"no-ambient-nondeterminism", file.path, toks[i].line, toks[i].col,
+                       std::move(msg)});
+        continue;
+      }
       const bool clock_like = name.find("clock") != std::string_view::npos ||
                               name == "time" || name == "gettimeofday" ||
                               name == "localtime" || name == "gmtime";
@@ -474,7 +492,7 @@ const std::vector<RuleInfo>& all_rules() {
   static const std::vector<RuleInfo> rules = {
       {"no-ambient-nondeterminism",
        "bans std::random_device, rand(), time(), wall clocks and raw engines "
-       "outside util/rng.*",
+       "outside util/rng.*, and OS threads and semaphores in src/",
        &rule_no_ambient_nondeterminism},
       {"unique-fork-tags",
        "Rng::fork stream-tag literals must be globally unique, reserved "
