@@ -6,8 +6,8 @@
 //   SOR   — every *reached* cell is dirtied each iteration, but heat
 //           propagates one row per iteration, so early checkpoints of a
 //           large cold grid still have large clean (exactly-zero) regions.
-#include <benchmark/benchmark.h>
-
+//
+//   ./ablation_incremental        (no flags)
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -15,61 +15,24 @@
 namespace chk::bench {
 namespace {
 
-ExperimentConfig cell_config(const BenchRow& row, bool incremental, double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = Scheme::kCoordNBM;
-  config.checkpoints = 6;
-  config.interval = des::Duration::seconds(normal_exec_s / 7.0);
-  config.incremental = incremental;
-  config.full_every = 3;
-  return config;
-}
+/// Columns of the grid: full images, then incremental.
+constexpr bool kModes[] = {false, true};
 
-std::string key_of(const std::string& label, bool incremental) {
-  return util::format("{}/{}", label, incremental ? "incremental" : "full");
-}
-
-void register_benchmarks() {
-  for (const char* label : {"ISING-1024", "GAUSS-1024", "SOR-1024"}) {
-    const BenchRow row = harness::find_row(label);
-    for (bool incremental : {false, true}) {
-      benchmark::RegisterBenchmark(
-          util::format("Incremental/{}/{}", row.label, incremental ? "inc" : "full")
-              .c_str(),
-          [row, incremental](benchmark::State& state) {
-            auto& cache = ResultCache::instance();
-            const auto& normal = cache.normal(row);
-            for (auto _ : state) {
-              const auto& result = cache.run(key_of(row.label, incremental),
-                                             cell_config(row, incremental, normal.exec_time_s));
-              set_common_counters(state, result, normal);
-            }
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
+void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
   util::Table table({"app", "mode", "overhead", "ckpt bytes written", "bytes saved"});
-  for (const char* label : {"ISING-1024", "GAUSS-1024", "SOR-1024"}) {
-    const auto normal = cache.lookup(cell_key(label, Scheme::kNone));
-    const auto full = cache.lookup(key_of(label, false));
-    const auto inc = cache.lookup(key_of(label, true));
-    if (!normal || !full || !inc) continue;
-    for (bool incremental : {false, true}) {
-      const auto& result = incremental ? *inc : *full;
-      table.add_row({label, incremental ? "incremental" : "full",
-                     util::Table::percent(result.exec_time_s / normal->exec_time_s - 1.0, 2),
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const ExperimentResult& normal = grid.normals[r];
+    const ExperimentResult& full = grid.cell(r, 0);
+    const ExperimentResult& inc = grid.cell(r, 1);
+    for (bool incremental : kModes) {
+      const auto& result = incremental ? inc : full;
+      table.add_row({rows[r].label, incremental ? "incremental" : "full",
+                     util::Table::percent(result.exec_time_s / normal.exec_time_s - 1.0, 2),
                      util::Table::bytes(static_cast<double>(result.bytes_written)),
                      incremental
                          ? util::Table::percent(
-                               1.0 - static_cast<double>(inc->bytes_written) /
-                                         static_cast<double>(full->bytes_written),
+                               1.0 - static_cast<double>(inc.bytes_written) /
+                                         static_cast<double>(full.bytes_written),
                                1)
                          : std::string("-")});
     }
@@ -88,10 +51,22 @@ void print_table() {
 }  // namespace chk::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
+  using namespace chk::bench;
+  if (const int rc = parse_flags("ablation_incremental", argc, argv)) return rc;
+  const std::vector<BenchRow> rows{chk::harness::find_row("ISING-1024"),
+                                   chk::harness::find_row("GAUSS-1024"),
+                                   chk::harness::find_row("SOR-1024")};
+  const Grid grid = run_grid(
+      row_configs(rows), std::size(kModes),
+      [&](std::size_t r, std::size_t m, const ExperimentResult& normal) {
+        ExperimentConfig config = row_config(rows[r]);
+        config.scheme = Scheme::kCoordNBM;
+        config.checkpoints = 6;
+        config.interval = chk::des::Duration::seconds(normal.exec_time_s / 7.0);
+        config.incremental = kModes[m];
+        config.full_every = 3;
+        return config;
+      });
+  print_table(rows, grid);
   return 0;
 }

@@ -7,8 +7,8 @@
 // SOR run and report overhead per scheme: it scales linearly with
 // checkpoint count for the write-through schemes and much more slowly for
 // the buffered + staggered one.
-#include <benchmark/benchmark.h>
-
+//
+//   ./ablation_interval        (no flags; writes BENCH_ablation_interval.json)
 #include <cstdio>
 #include <map>
 
@@ -28,79 +28,33 @@ const std::vector<std::uint32_t>& sweep_counts() {
   return counts;
 }
 
-std::map<std::uint32_t, std::map<std::string, double>>& sweep() {
-  static std::map<std::uint32_t, std::map<std::string, double>> map;
-  return map;
-}
-
 ExperimentConfig point_config(const BenchRow& row, Scheme scheme,
                               std::uint32_t checkpoints, double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
+  ExperimentConfig config = row_config(row);
   config.scheme = scheme;
   config.checkpoints = checkpoints;
   config.interval = des::Duration::seconds(normal_exec_s / (checkpoints + 1.0));
   return config;
 }
 
-std::string point_key(const BenchRow& row, Scheme scheme, std::uint32_t checkpoints) {
-  return util::format("{}/{}/k{}", row.label, to_string(scheme), checkpoints);
+/// Overhead (s) of point k (an index into sweep_counts()) under column s
+/// (an index into sweep_schemes()); the grid's one row is SOR-1024.
+double overhead(const Grid& grid, std::size_t k, std::size_t s) {
+  return grid.cell(0, k * sweep_schemes().size() + s).exec_time_s -
+         grid.normals[0].exec_time_s;
 }
 
-// Warm the cache in parallel: every (checkpoint-count, scheme) point is an
-// independent simulation once the shared baseline exists.
-void prefetch() {
-  auto& cache = ResultCache::instance();
-  const BenchRow row = harness::find_row("SOR-1024");
-  const auto& normal = cache.normal(row);
-  const auto& counts = sweep_counts();
-  const auto& schemes = sweep_schemes();
-  parallel_for(counts.size() * schemes.size(), [&](std::size_t i) {
-    const std::uint32_t k = counts[i / schemes.size()];
-    const Scheme scheme = schemes[i % schemes.size()];
-    cache.run(point_key(row, scheme, k),
-              point_config(row, scheme, k, normal.exec_time_s));
-  });
-}
-
-void run_point(benchmark::State& state, std::uint32_t checkpoints) {
-  auto& cache = ResultCache::instance();
-  const BenchRow row = harness::find_row("SOR-1024");
-  const auto& normal = cache.normal(row);
-  for (auto _ : state) {
-    for (Scheme scheme : sweep_schemes()) {
-      const auto& result =
-          cache.run(point_key(row, scheme, checkpoints),
-                    point_config(row, scheme, checkpoints, normal.exec_time_s));
-      sweep()[checkpoints][std::string(to_string(scheme))] =
-          result.exec_time_s - normal.exec_time_s;
-    }
-    state.counters["checkpoints"] = checkpoints;
-  }
-}
-
-void register_benchmarks() {
-  for (std::uint32_t k : sweep_counts()) {
-    benchmark::RegisterBenchmark(util::format("Interval/ckpts{}", k).c_str(),
-                                 [k](benchmark::State& state) { run_point(state, k); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
-  const auto normal = cache.lookup(cell_key("SOR-1024", Scheme::kNone));
+void print_table(const Grid& grid) {
+  const double normal = grid.normals[0].exec_time_s;
   util::Table table({"checkpoints", "interval (s)", "Coord_NB (s)", "Indep (s)",
                      "Coord_NBMS (s)", "NB per ckpt"});
-  for (const auto& [k, by_scheme] : sweep()) {
-    const double interval = normal ? normal->exec_time_s / (k + 1.0) : 0;
-    table.add_row({util::Table::integer(k), util::Table::fixed(interval, 0),
-                   util::Table::fixed(by_scheme.at("Coord_NB"), 2),
-                   util::Table::fixed(by_scheme.at("Indep"), 2),
-                   util::Table::fixed(by_scheme.at("Coord_NBMS"), 2),
-                   util::Table::fixed(by_scheme.at("Coord_NB") / k, 2)});
+  for (std::size_t k = 0; k < sweep_counts().size(); ++k) {
+    const std::uint32_t count = sweep_counts()[k];
+    table.add_row({util::Table::integer(count), util::Table::fixed(normal / (count + 1.0), 0),
+                   util::Table::fixed(overhead(grid, k, 0), 2),
+                   util::Table::fixed(overhead(grid, k, 1), 2),
+                   util::Table::fixed(overhead(grid, k, 2), 2),
+                   util::Table::fixed(overhead(grid, k, 0) / count, 2)});
   }
   std::fputs(
       table.render("Overhead (s) vs checkpoint frequency — SOR-1024, fixed run length")
@@ -111,26 +65,29 @@ void print_table() {
             "checkpointing affordable.");
 }
 
-void write_json() {
+void write_json(const Grid& grid) {
   using obs::json::Value;
-  auto& cache = ResultCache::instance();
-  const auto normal = cache.lookup(cell_key("SOR-1024", Scheme::kNone));
+  const ExperimentResult& normal = grid.normals[0];
   Value doc = Value::object();
   doc.set("table", Value::string("ablation_interval"));
   doc.set("row", Value::string("SOR-1024"));
-  if (normal) doc.set("normal", result_to_json(*normal, nullptr));
+  doc.set("normal", result_to_json(normal, nullptr));
   Value points = Value::array();
-  for (const auto& [k, by_scheme] : sweep()) {
+  for (std::size_t k = 0; k < sweep_counts().size(); ++k) {
+    const std::uint32_t count = sweep_counts()[k];
     Value point = Value::object();
-    point.set("checkpoints", Value::number(std::uint64_t{k}));
-    if (normal) {
-      point.set("interval_s", Value::number(normal->exec_time_s / (k + 1.0)));
+    point.set("checkpoints", Value::number(std::uint64_t{count}));
+    point.set("interval_s", Value::number(normal.exec_time_s / (count + 1.0)));
+    // Keyed by scheme name, emitted in name order.
+    std::map<std::string, double> by_scheme;
+    for (std::size_t s = 0; s < sweep_schemes().size(); ++s) {
+      by_scheme[std::string(to_string(sweep_schemes()[s]))] = overhead(grid, k, s);
     }
-    Value overhead = Value::object();
+    Value overheads = Value::object();
     for (const auto& [scheme, overhead_s] : by_scheme) {
-      overhead.set(scheme, Value::number(overhead_s));
+      overheads.set(scheme, Value::number(overhead_s));
     }
-    point.set("overhead_s", std::move(overhead));
+    point.set("overhead_s", std::move(overheads));
     points.push_back(std::move(point));
   }
   doc.set("points", std::move(points));
@@ -141,13 +98,18 @@ void write_json() {
 }  // namespace chk::bench
 
 int main(int argc, char** argv) {
-  const bool warm = chk::bench::prefetch_enabled(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  if (warm) chk::bench::prefetch();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  chk::bench::write_json();
+  using namespace chk::bench;
+  if (const int rc = parse_flags("ablation_interval", argc, argv)) return rc;
+  const BenchRow row = chk::harness::find_row("SOR-1024");
+  const std::size_t columns = sweep_schemes().size();
+  // One row; columns are every (checkpoint count, scheme) point, count-major.
+  const Grid grid = run_grid(
+      {row_config(row)}, sweep_counts().size() * columns,
+      [&](std::size_t, std::size_t c, const ExperimentResult& normal) {
+        return point_config(row, sweep_schemes()[c % columns], sweep_counts()[c / columns],
+                            normal.exec_time_s);
+      });
+  print_table(grid);
+  write_json(grid);
   return 0;
 }

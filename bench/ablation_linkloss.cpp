@@ -18,98 +18,69 @@
 // --quick shrinks the sweep (2 loss points). Output is byte-identical
 // across repeats with the same seed.
 #include <cstdio>
-#include <cstdlib>
-#include <future>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "harness/catalog.hpp"
-#include "harness/experiment.hpp"
+#include "bench_common.hpp"
 #include "obs/export.hpp"
-#include "util/cli.hpp"
-#include "util/format.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace chk;
+using bench::paper_schemes;
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) out.push_back(csv.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
+struct Options {
+  std::string app;
+  std::vector<double> losses;
+  std::size_t nodes = 0;
+  std::uint32_t checkpoints = 0;
+  double intervals = 0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+};
 
-/// The five scheme columns of the paper's Table 1, in paper order.
-const std::vector<harness::Scheme>& sweep_schemes() {
-  static const std::vector<harness::Scheme> schemes{
-      harness::Scheme::kCoordNB, harness::Scheme::kIndep, harness::Scheme::kCoordNBM,
-      harness::Scheme::kIndepM, harness::Scheme::kCoordNBMS};
-  return schemes;
+Options read_options(const util::Cli& cli) {
+  const bool quick = cli.get_bool("quick", false);
+  Options o;
+  o.app = cli.get("app", "SOR-384");
+  (void)harness::find_row(o.app);
+  o.losses = cli.get_doubles("losses", quick ? "0.05,0.2" : "0.02,0.05,0.1,0.2", 0.0, 1.0);
+  o.nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1));
+  o.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0));
+  o.intervals = cli.get_double("intervals", 5.0);
+  o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  o.json_out = cli.get("json-out", "BENCH_linkloss.json");
+  return o;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const bool quick = cli.get_bool("quick", false);
-
-  const std::string app_label = cli.get("app", "SOR-384");
-  std::vector<double> losses;
-  try {
-    for (const std::string& tok :
-         split_list(cli.get("losses", quick ? "0.05,0.2" : "0.02,0.05,0.1,0.2"))) {
-      char* end = nullptr;
-      const double loss = std::strtod(tok.c_str(), &end);
-      if (tok.empty() || end != tok.c_str() + tok.size() || loss != loss) {
-        throw std::invalid_argument("--losses: expected a number, got \"" + tok + "\"");
-      }
-      if (loss < 0.0 || loss >= 1.0) {
-        throw std::invalid_argument("--losses: loss rates must be in [0, 1), got " + tok);
-      }
-      losses.push_back(loss);
-    }
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "ablation_linkloss: %s\n", err.what());
-    return 2;
+  Options opt;
+  if (const int rc = bench::parse_flags("ablation_linkloss", argc, argv,
+                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+    return rc;
   }
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  const auto checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0));
-  const double intervals = cli.get_double("intervals", 5.0);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-
   // Baseline: failure-free, perfect links — sets the checkpoint interval
   // and the digest every lossy run must still compute.
-  harness::ExperimentConfig base;
-  base.label = app_label;
-  base.app = harness::find_row(app_label).app;
-  base.machine.num_nodes = nodes;
-  base.seed = seed;
-  base.checkpoints = checkpoints;
+  harness::ExperimentConfig base = bench::row_config(harness::find_row(opt.app));
+  base.machine.num_nodes = opt.nodes;
+  base.seed = opt.seed;
+  base.checkpoints = opt.checkpoints;
   const harness::ExperimentResult normal = harness::run_normal(base);
-  base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
+  base.interval = des::Duration::seconds(normal.exec_time_s / opt.intervals);
 
   // Loss 0 first (the per-scheme reference), then the sweep; all cells
   // fan out and are collected in fixed order.
   std::vector<double> points;
   points.push_back(0.0);
-  points.insert(points.end(), losses.begin(), losses.end());
-  std::vector<harness::ExperimentResult> results(points.size() * sweep_schemes().size());
-  {
-    std::vector<std::future<harness::ExperimentResult>> pending;
-    pending.reserve(results.size());
-    for (double loss : points) {
-      for (harness::Scheme scheme : sweep_schemes()) {
+  points.insert(points.end(), opt.losses.begin(), opt.losses.end());
+  const std::size_t columns = paper_schemes().size();
+  const auto results = bench::parallel_map<harness::ExperimentResult>(
+      points.size() * columns, [&](std::size_t i) {
+        const double loss = points[i / columns];
         harness::ExperimentConfig config = base;
-        config.scheme = scheme;
+        config.scheme = paper_schemes()[i % columns];
         if (loss > 0.0) {
           chklib::LinkFaultConfig faults;
           faults.drop = loss;
@@ -117,13 +88,8 @@ int main(int argc, char** argv) {
           faults.corrupt = loss / 4;
           config.link_faults = faults;
         }
-        pending.push_back(std::async(std::launch::async, [config] {
-          return harness::run_experiment(config);
-        }));
-      }
-    }
-    for (std::size_t i = 0; i < results.size(); ++i) results[i] = pending[i].get();
-  }
+        return harness::run_experiment(config);
+      });
 
   bool all_ok = true;
   for (const harness::ExperimentResult& r : results) {
@@ -131,10 +97,9 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> header{"loss"};
-  for (harness::Scheme scheme : sweep_schemes()) header.emplace_back(to_string(scheme));
+  for (harness::Scheme scheme : paper_schemes()) header.emplace_back(to_string(scheme));
   util::Table table(header);
   std::size_t index = 0;
-  const std::size_t columns = sweep_schemes().size();
   for (std::size_t p = 0; p < points.size(); ++p) {
     std::vector<std::string> row{util::Table::fixed(points[p], 2)};
     for (std::size_t s = 0; s < columns; ++s) {
@@ -153,16 +118,16 @@ int main(int argc, char** argv) {
                      "corrupt=loss/4; reliable transport on; exec time s, "
                      "overhead vs the same scheme at loss 0, retransmissions; "
                      "digests + invariants verified: {})",
-                     app_label, nodes, all_ok ? "yes" : "NO"))
+                     opt.app, opt.nodes, all_ok ? "yes" : "NO"))
                  .c_str(),
              stdout);
 
   using obs::json::Value;
   Value doc = Value::object();
   doc.set("table", Value::string("linkloss"));
-  doc.set("app", Value::string(app_label));
-  doc.set("nodes", Value::number(std::uint64_t{nodes}));
-  doc.set("seed", Value::number(seed));
+  doc.set("app", Value::string(opt.app));
+  doc.set("nodes", Value::number(std::uint64_t{opt.nodes}));
+  doc.set("seed", Value::number(opt.seed));
   doc.set("normal_exec_s", Value::number(normal.exec_time_s));
   doc.set("all_verified", Value::boolean(all_ok));
   Value row_array = Value::array();
@@ -192,8 +157,7 @@ int main(int argc, char** argv) {
     row_array.push_back(std::move(entry));
   }
   doc.set("rows", std::move(row_array));
-  const std::string path = cli.get("json-out", "BENCH_linkloss.json");
-  obs::write_text_file(path, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", path.c_str());
+  obs::write_text_file(opt.json_out, doc.dump() + "\n");
+  std::printf("\nWrote %s\n", opt.json_out.c_str());
   return all_ok ? 0 : 1;
 }

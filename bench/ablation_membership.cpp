@@ -36,64 +36,19 @@
 // byte-identical across repeats with the same seed.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "harness/catalog.hpp"
-#include "harness/experiment.hpp"
+#include "bench_common.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "util/cli.hpp"
-#include "util/format.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace chk;
 using chklib::membership::Detector;
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) out.push_back(csv.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-std::vector<double> parse_doubles(const util::Cli& cli, const std::string& key,
-                                  const std::string& fallback, double lo, double hi) {
-  std::vector<double> out;
-  for (const std::string& tok : split_list(cli.get(key, fallback))) {
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (tok.empty() || end != tok.c_str() + tok.size() || v != v) {
-      throw std::invalid_argument("--" + key + ": expected a number, got \"" + tok + "\"");
-    }
-    if (v < lo || v >= hi) {
-      throw std::invalid_argument("--" + key + ": values must be in [" +
-                                  std::to_string(lo) + ", " + std::to_string(hi) +
-                                  "), got " + tok);
-    }
-    out.push_back(v);
-  }
-  return out;
-}
-
-/// The five scheme columns of the paper's Table 1, in paper order.
-const std::vector<harness::Scheme>& sweep_schemes() {
-  static const std::vector<harness::Scheme> schemes{
-      harness::Scheme::kCoordNB, harness::Scheme::kIndep, harness::Scheme::kCoordNBM,
-      harness::Scheme::kIndepM, harness::Scheme::kCoordNBMS};
-  return schemes;
-}
+using bench::paper_schemes;
 
 /// The coordinated schemes whose coordinator the kill section murders.
 const std::vector<harness::Scheme>& coordinated_schemes() {
@@ -163,78 +118,91 @@ struct GridRow {
   double loss = 0;
 };
 
+struct Options {
+  std::string app;
+  bool run_binary = true;
+  bool run_phi = true;
+  std::vector<double> timeouts;
+  std::vector<double> thresholds;
+  std::int64_t phi_window = 32;
+  std::vector<double> losses;
+  double hb_period = 0.25;
+  std::size_t nodes = 0;
+  std::uint32_t checkpoints = 0;
+  double intervals = 0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+};
+
+Options read_options(const util::Cli& cli) {
+  const bool quick = cli.get_bool("quick", false);
+  Options o;
+  o.app = cli.get("app", "SOR-384");
+  (void)harness::find_row(o.app);
+  const std::string detector = cli.get("detector", "both");
+  if (detector == "binary") {
+    o.run_phi = false;
+  } else if (detector == "phi") {
+    o.run_binary = false;
+  } else if (detector != "both") {
+    throw std::invalid_argument("--detector: expected \"both\", \"binary\" or \"phi\", got \"" +
+                                detector + "\"");
+  }
+  if (!o.run_phi) {
+    for (const char* flag : {"phi-thresholds", "phi-window"}) {
+      if (cli.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " needs --detector=phi or both (the binary "
+                                    "detector has no phi knobs)");
+      }
+    }
+  }
+  o.timeouts = cli.get_doubles("timeouts", quick ? "0.6,4.0" : "0.6,1.5,4.0", 1e-3, 1e3);
+  o.thresholds = cli.get_doubles("phi-thresholds", quick ? "8" : "4,8,12", 1e-3, 1e3);
+  o.phi_window = cli.get_int("phi-window", 32, 1);
+  o.losses = cli.get_doubles("losses", quick ? "0,0.2" : "0,0.05,0.2", 0.0, 1.0);
+  o.hb_period = cli.get_nonneg_double("hb-period", 0.25);
+  for (double t : o.timeouts) {
+    if (t <= o.hb_period) {
+      throw std::invalid_argument(
+          "--timeouts: every detection timeout must exceed --hb-period (" +
+          std::to_string(o.hb_period) + " s)");
+    }
+  }
+  o.nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1));
+  o.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0));
+  o.intervals = cli.get_double("intervals", 5.0);
+  o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  o.json_out = cli.get("json-out", "BENCH_membership.json");
+  return o;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const bool quick = cli.get_bool("quick", false);
-
-  const std::string app_label = cli.get("app", "SOR-384");
-  std::vector<double> timeouts;
-  std::vector<double> thresholds;
-  std::vector<double> losses;
-  double hb_period = 0.25;
-  long phi_window = 32;
-  bool run_binary = true;
-  bool run_phi = true;
-  try {
-    const std::string detector = cli.get("detector", "both");
-    if (detector == "binary") {
-      run_phi = false;
-    } else if (detector == "phi") {
-      run_binary = false;
-    } else if (detector != "both") {
-      throw std::invalid_argument("--detector: expected \"both\", \"binary\" or \"phi\", got \"" +
-                                  detector + "\"");
-    }
-    if (!run_phi) {
-      for (const char* flag : {"phi-thresholds", "phi-window"}) {
-        if (cli.has(flag)) {
-          throw std::invalid_argument(std::string("--") + flag +
-                                      " needs --detector=phi or both (the binary "
-                                      "detector has no phi knobs)");
-        }
-      }
-    }
-    timeouts = parse_doubles(cli, "timeouts", quick ? "0.6,4.0" : "0.6,1.5,4.0",
-                             1e-3, 1e3);
-    thresholds = parse_doubles(cli, "phi-thresholds", quick ? "8" : "4,8,12",
-                               1e-3, 1e3);
-    phi_window = cli.get_int("phi-window", 32);
-    if (phi_window <= 0) throw std::invalid_argument("--phi-window must be positive");
-    losses = parse_doubles(cli, "losses", quick ? "0,0.2" : "0,0.05,0.2", 0.0, 1.0);
-    hb_period = cli.get_nonneg_double("hb-period", 0.25);
-    for (double t : timeouts) {
-      if (t <= hb_period) {
-        throw std::invalid_argument(
-            "--timeouts: every detection timeout must exceed --hb-period (" +
-            std::to_string(hb_period) + " s)");
-      }
-    }
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "ablation_membership: %s\n", err.what());
-    return 2;
+  Options opt;
+  if (const int rc = bench::parse_flags("ablation_membership", argc, argv,
+                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+    return rc;
   }
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  const auto checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0));
-  const double intervals = cli.get_double("intervals", 5.0);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const std::vector<double>& timeouts = opt.timeouts;
+  const std::vector<double>& thresholds = opt.thresholds;
+  const std::vector<double>& losses = opt.losses;
+  const std::size_t columns = paper_schemes().size();
 
   // Baseline: failure-free, perfect links, no detector — sets the
   // checkpoint interval and the digest every membership run must still
   // compute (fencing has to keep wrongful evictions answer-preserving).
-  harness::ExperimentConfig base;
-  base.label = app_label;
-  base.app = harness::find_row(app_label).app;
-  base.machine.num_nodes = nodes;
-  base.seed = seed;
-  base.checkpoints = checkpoints;
+  harness::ExperimentConfig base = bench::row_config(harness::find_row(opt.app));
+  base.machine.num_nodes = opt.nodes;
+  base.seed = opt.seed;
+  base.checkpoints = opt.checkpoints;
   const harness::ExperimentResult normal = harness::run_normal(base);
-  base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
+  base.interval = des::Duration::seconds(normal.exec_time_s / opt.intervals);
 
   auto make_membership = [&](Detector detector, double knob) {
     chklib::membership::MembershipConfig membership;
-    membership.hb_period = des::Duration::seconds(hb_period);
+    membership.hb_period = des::Duration::seconds(opt.hb_period);
     membership.detector = detector;
     if (detector == Detector::kBinaryTimeout) {
       membership.detect_timeout = des::Duration::seconds(knob);
@@ -244,35 +212,32 @@ int main(int argc, char** argv) {
       // hand-tuned timeout — that is the point of the comparison.
       membership.accrual.threshold_milli =
           static_cast<std::int64_t>(knob * 1000.0);
-      membership.accrual.window = static_cast<std::uint32_t>(phi_window);
+      membership.accrual.window = static_cast<std::uint32_t>(opt.phi_window);
     }
     return membership;
   };
 
   // Section 1: detector x knob x link-loss grid, detector always on.
   std::vector<GridRow> grid;
-  if (run_binary) {
+  if (opt.run_binary) {
     for (double timeout : timeouts) {
       for (double loss : losses) {
         grid.push_back({Detector::kBinaryTimeout, timeout, loss});
       }
     }
   }
-  if (run_phi) {
+  if (opt.run_phi) {
     for (double threshold : thresholds) {
       for (double loss : losses) {
         grid.push_back({Detector::kPhiAccrual, threshold, loss});
       }
     }
   }
-  std::vector<harness::ExperimentResult> results(grid.size() * sweep_schemes().size());
-  {
-    std::vector<std::future<harness::ExperimentResult>> pending;
-    pending.reserve(results.size());
-    for (const GridRow& row : grid) {
-      for (harness::Scheme scheme : sweep_schemes()) {
+  const auto results = bench::parallel_map<harness::ExperimentResult>(
+      grid.size() * columns, [&](std::size_t i) {
+        const GridRow& row = grid[i / columns];
         harness::ExperimentConfig config = base;
-        config.scheme = scheme;
+        config.scheme = paper_schemes()[i % columns];
         config.membership = make_membership(row.detector, row.knob);
         if (row.loss > 0.0) {
           chklib::LinkFaultConfig faults;
@@ -281,36 +246,27 @@ int main(int argc, char** argv) {
           faults.corrupt = row.loss / 4;
           config.link_faults = faults;
         }
-        pending.push_back(std::async(std::launch::async, [config] {
-          return harness::run_experiment(config);
-        }));
-      }
-    }
-    for (std::size_t i = 0; i < results.size(); ++i) results[i] = pending[i].get();
-  }
+        return harness::run_experiment(config);
+      });
 
   // Section 2: coordinator killed mid-run, clean links, one strike aimed
   // at whoever the current elected coordinator is — once per detector, so
   // the JSON carries the real-crash detection-latency A/B.
   std::vector<Detector> kill_detectors;
-  if (run_binary) kill_detectors.push_back(Detector::kBinaryTimeout);
-  if (run_phi) kill_detectors.push_back(Detector::kPhiAccrual);
-  std::vector<harness::ExperimentResult> kills(kill_detectors.size() *
-                                               coordinated_schemes().size());
+  if (opt.run_binary) kill_detectors.push_back(Detector::kBinaryTimeout);
+  if (opt.run_phi) kill_detectors.push_back(Detector::kPhiAccrual);
   const double kill_timeout =
       timeouts.size() > 1 ? timeouts[timeouts.size() / 2] : timeouts.front();
   const double kill_threshold =
       thresholds.size() > 1 ? thresholds[thresholds.size() / 2] : thresholds.front();
-  {
-    std::vector<std::future<harness::ExperimentResult>> pending;
-    pending.reserve(kills.size());
-    for (Detector detector : kill_detectors) {
-      for (harness::Scheme scheme : coordinated_schemes()) {
+  const std::size_t kill_columns = coordinated_schemes().size();
+  const auto kills = bench::parallel_map<harness::ExperimentResult>(
+      kill_detectors.size() * kill_columns, [&](std::size_t i) {
+        const Detector detector = kill_detectors[i / kill_columns];
         harness::ExperimentConfig config = base;
-        config.scheme = scheme;
+        config.scheme = coordinated_schemes()[i % kill_columns];
         config.membership = make_membership(
-            detector, detector == Detector::kBinaryTimeout ? kill_timeout
-                                                           : kill_threshold);
+            detector, detector == Detector::kBinaryTimeout ? kill_timeout : kill_threshold);
         if (detector == Detector::kPhiAccrual) {
           // If the strike lands before the accrual windows warm up, phi
           // falls back to its bootstrap timeout. Give it the same bootstrap
@@ -323,13 +279,8 @@ int main(int argc, char** argv) {
         plan.max_failures = 1;
         plan.target_coordinator = true;
         config.faults = plan;
-        pending.push_back(std::async(std::launch::async, [config] {
-          return harness::run_experiment(config);
-        }));
-      }
-    }
-    for (std::size_t i = 0; i < kills.size(); ++i) kills[i] = pending[i].get();
-  }
+        return harness::run_experiment(config);
+      });
 
   bool all_ok = true;
   for (const harness::ExperimentResult& r : results) {
@@ -347,7 +298,7 @@ int main(int argc, char** argv) {
   {
     std::size_t index = 0;
     for (const GridRow& row : grid) {
-      for (std::size_t s = 0; s < sweep_schemes().size(); ++s) {
+      for (std::size_t s = 0; s < columns; ++s) {
         const harness::ExperimentResult& r = results[index++];
         if (row.loss != max_loss) continue;
         if (row.detector == Detector::kBinaryTimeout && row.knob == timeouts.front()) {
@@ -361,14 +312,14 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> header{"detector", "knob", "loss"};
-  for (harness::Scheme scheme : sweep_schemes()) header.emplace_back(to_string(scheme));
+  for (harness::Scheme scheme : paper_schemes()) header.emplace_back(to_string(scheme));
   util::Table table(header);
   std::size_t index = 0;
   for (const GridRow& gr : grid) {
     std::vector<std::string> row{
         chklib::membership::to_string(gr.detector),
         util::Table::fixed(gr.knob, 1), util::Table::fixed(gr.loss, 2)};
-    for (std::size_t s = 0; s < sweep_schemes().size(); ++s) {
+    for (std::size_t s = 0; s < columns; ++s) {
       const harness::ExperimentResult& r = results[index++];
       row.push_back(util::format("{} ev={} wr={} rj={}",
                                  util::Table::fixed(r.exec_time_s, 1), r.evictions,
@@ -385,7 +336,7 @@ int main(int argc, char** argv) {
               "binary timeouts under loss evict live ranks — fenced, rejoined, "
               "answer preserved — where phi-accrual adapts and evicts none; "
               "digests + invariants verified: {})",
-              app_label, nodes, util::Table::fixed(hb_period, 2),
+              opt.app, opt.nodes, util::Table::fixed(opt.hb_period, 2),
               all_ok ? "yes" : "NO"))
           .c_str(),
       stdout);
@@ -395,7 +346,7 @@ int main(int argc, char** argv) {
   util::Table kill_table(kill_header);
   index = 0;
   for (Detector detector : kill_detectors) {
-    for (std::size_t s = 0; s < coordinated_schemes().size(); ++s) {
+    for (std::size_t s = 0; s < kill_columns; ++s) {
       const harness::ExperimentResult& r = kills[index++];
       kill_table.add_row({chklib::membership::to_string(detector),
                           std::string(to_string(r.scheme)),
@@ -418,11 +369,11 @@ int main(int argc, char** argv) {
   using obs::json::Value;
   Value doc = Value::object();
   doc.set("table", Value::string("membership"));
-  doc.set("app", Value::string(app_label));
-  doc.set("nodes", Value::number(std::uint64_t{nodes}));
-  doc.set("seed", Value::number(seed));
-  doc.set("hb_period_s", Value::number(hb_period));
-  doc.set("phi_window", Value::number(std::uint64_t{static_cast<std::uint64_t>(phi_window)}));
+  doc.set("app", Value::string(opt.app));
+  doc.set("nodes", Value::number(std::uint64_t{opt.nodes}));
+  doc.set("seed", Value::number(opt.seed));
+  doc.set("hb_period_s", Value::number(opt.hb_period));
+  doc.set("phi_window", Value::number(static_cast<std::uint64_t>(opt.phi_window)));
   doc.set("normal_exec_s", Value::number(normal.exec_time_s));
   doc.set("all_verified", Value::boolean(all_ok));
   doc.set("binary_aggressive_wrongful", Value::number(binary_aggressive_wrongful));
@@ -439,7 +390,7 @@ int main(int argc, char** argv) {
     }
     entry.set("loss", Value::number(gr.loss));
     Value cell_array = Value::array();
-    for (std::size_t s = 0; s < sweep_schemes().size(); ++s) {
+    for (std::size_t s = 0; s < columns; ++s) {
       const harness::ExperimentResult& r = results[index++];
       cell_array.push_back(cell_json(r, r.digest == normal.digest));
     }
@@ -450,7 +401,7 @@ int main(int argc, char** argv) {
   Value kill_array = Value::array();
   index = 0;
   for (Detector detector : kill_detectors) {
-    for (std::size_t s = 0; s < coordinated_schemes().size(); ++s) {
+    for (std::size_t s = 0; s < kill_columns; ++s) {
       const harness::ExperimentResult& r = kills[index++];
       Value kv = cell_json(r, r.digest == normal.digest);
       kv.set("detector", Value::string(chklib::membership::to_string(detector)));
@@ -458,8 +409,7 @@ int main(int argc, char** argv) {
     }
   }
   doc.set("coordinator_kill", std::move(kill_array));
-  const std::string path = cli.get("json-out", "BENCH_membership.json");
-  obs::write_text_file(path, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", path.c_str());
+  obs::write_text_file(opt.json_out, doc.dump() + "\n");
+  std::printf("\nWrote %s\n", opt.json_out.c_str());
   return all_ok ? 0 : 1;
 }

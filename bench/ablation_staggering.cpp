@@ -8,8 +8,8 @@
 // stalls and is no better (often worse) than Coord_NB; staggering the
 // *background* writes (Coord_NBMS) removes the stable-storage contention
 // and wins decisively.
-#include <benchmark/benchmark.h>
-
+//
+//   ./ablation_staggering        (no flags)
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -26,85 +26,59 @@ const std::vector<Scheme>& schemes() {
   return all;
 }
 
-ExperimentConfig cell_config(const BenchRow& row, Scheme scheme, double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = scheme;
-  config.checkpoints = 3;
-  config.interval = des::Duration::seconds(normal_exec_s / 4.0);
-  return config;
-}
-
-void register_benchmarks() {
-  for (const char* label : {"SOR-1024", "ISING-1024"}) {
-    const BenchRow row = harness::find_row(label);
-    for (Scheme scheme : schemes()) {
-      benchmark::RegisterBenchmark(
-          util::format("Stagger/{}/{}", row.label, to_string(scheme)).c_str(),
-          [row, scheme](benchmark::State& state) {
-            auto& cache = ResultCache::instance();
-            const auto& normal = cache.normal(row);
-            for (auto _ : state) {
-              const auto& result = cache.run(cell_key(row.label, scheme),
-                                             cell_config(row, scheme, normal.exec_time_s));
-              set_common_counters(state, result, normal);
-            }
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
-  for (const char* label : {"SOR-1024", "ISING-1024"}) {
-    const auto normal = cache.lookup(cell_key(label, Scheme::kNone));
-    if (!normal) continue;
+void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const ExperimentResult& normal = grid.normals[r];
     util::Table table({"scheme", "buffered?", "staggered?", "exec (s)", "overhead",
                        "app blocked (s)", "disk wait (s)"});
-    for (Scheme scheme : schemes()) {
-      const auto result = cache.lookup(cell_key(label, scheme));
-      if (!result) continue;
+    for (std::size_t s = 0; s < schemes().size(); ++s) {
+      const Scheme scheme = schemes()[s];
+      const ExperimentResult& result = grid.cell(r, s);
       table.add_row({std::string(chklib::to_string(scheme)),
                      chklib::is_buffered(scheme) ? "yes" : "no",
                      chklib::is_staggered(scheme) ? "yes" : "no",
-                     util::Table::fixed(result->exec_time_s, 1),
-                     util::Table::percent(result->exec_time_s / normal->exec_time_s - 1.0, 2),
-                     util::Table::fixed(result->app_blocked_s, 2),
-                     util::Table::fixed(result->disk_wait_s, 2)});
+                     util::Table::fixed(result.exec_time_s, 1),
+                     util::Table::percent(result.exec_time_s / normal.exec_time_s - 1.0, 2),
+                     util::Table::fixed(result.app_blocked_s, 2),
+                     util::Table::fixed(result.disk_wait_s, 2)});
     }
     std::fputs(table.render(util::format(
                                 "Staggering x buffering ablation — {} (normal {:.1f} s)",
-                                label, normal->exec_time_s))
+                                rows[r].label, normal.exec_time_s))
                    .c_str(),
                stdout);
     std::puts("");
   }
-  // The headline checks:
-  const auto nb = cache.lookup(cell_key("SOR-1024", Scheme::kCoordNB));
-  const auto nbs = cache.lookup(cell_key("SOR-1024", Scheme::kCoordNBS));
-  const auto nbm = cache.lookup(cell_key("SOR-1024", Scheme::kCoordNBM));
-  const auto nbms = cache.lookup(cell_key("SOR-1024", Scheme::kCoordNBMS));
-  if (nb && nbs && nbm && nbms) {
-    std::printf("Staggering alone:       %+.1f %% change vs Coord_NB (paper: not effective)\n",
-                (nbs->exec_time_s / nb->exec_time_s - 1.0) * 100.0);
-    std::printf("Buffering alone:        %+.1f %% change vs Coord_NB\n",
-                (nbm->exec_time_s / nb->exec_time_s - 1.0) * 100.0);
-    std::printf("Buffering + staggering: %+.1f %% change vs Coord_NB (the paper's winner)\n",
-                (nbms->exec_time_s / nb->exec_time_s - 1.0) * 100.0);
-  }
+  // The headline checks, on the first row (SOR-1024); columns follow schemes().
+  const double nb = grid.cell(0, 0).exec_time_s;
+  const double nbs = grid.cell(0, 1).exec_time_s;
+  const double nbm = grid.cell(0, 2).exec_time_s;
+  const double nbms = grid.cell(0, 3).exec_time_s;
+  std::printf("Staggering alone:       %+.1f %% change vs Coord_NB (paper: not effective)\n",
+              (nbs / nb - 1.0) * 100.0);
+  std::printf("Buffering alone:        %+.1f %% change vs Coord_NB\n",
+              (nbm / nb - 1.0) * 100.0);
+  std::printf("Buffering + staggering: %+.1f %% change vs Coord_NB (the paper's winner)\n",
+              (nbms / nb - 1.0) * 100.0);
 }
 
 }  // namespace
 }  // namespace chk::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
+  using namespace chk::bench;
+  if (const int rc = parse_flags("ablation_staggering", argc, argv)) return rc;
+  const std::vector<BenchRow> rows{chk::harness::find_row("SOR-1024"),
+                                   chk::harness::find_row("ISING-1024")};
+  const Grid grid = run_grid(
+      row_configs(rows), schemes().size(),
+      [&](std::size_t r, std::size_t s, const ExperimentResult& normal) {
+        ExperimentConfig config = row_config(rows[r]);
+        config.scheme = schemes()[s];
+        config.checkpoints = 3;
+        config.interval = chk::des::Duration::seconds(normal.exec_time_s / 4.0);
+        return config;
+      });
+  print_table(rows, grid);
   return 0;
 }

@@ -7,8 +7,8 @@
 // storage is (nearly) free — what remains is protocol synchronization —
 // and sweep the node count to show it stays negligible as the machine
 // grows.
-#include <benchmark/benchmark.h>
-
+//
+//   ./ablation_sync_cost        (no flags; writes BENCH_ablation_sync_cost.json)
 #include <cstdio>
 
 #include "apps/sor.hpp"
@@ -46,62 +46,53 @@ ExperimentConfig sor_config(std::size_t nodes, Scheme scheme, bool free_storage,
 }
 
 struct Cell {
+  std::size_t nodes = 0;
   double normal = 0, full = 0, sync_only = 0;
   std::uint64_t ctrl_msgs = 0, ctrl_bytes = 0;
 };
 
-std::map<std::size_t, Cell>& cells() {
-  static std::map<std::size_t, Cell> map;
-  return map;
-}
-
-void run_node_count(benchmark::State& state, std::size_t nodes) {
-  for (auto _ : state) {
-    // The two baselines are independent; so are the two checkpointed runs
-    // once the interval is known. Fan each pair out (two phases).
-    harness::ExperimentResult normal, sync_normal;
-    parallel_for(2, [&](std::size_t i) {
-      auto config = sor_config(nodes, Scheme::kNone, /*free_storage=*/i == 1, 60);
-      (i == 0 ? normal : sync_normal) = harness::run_experiment(config);
-    });
-    const double interval = normal.exec_time_s / 4.0;
-    // Empty images on a free-storage machine: saving costs nothing at all;
-    // the residual overhead is the synchronization protocol itself
-    // (requests, markers, acks, commit).
-    harness::ExperimentResult full, sync_only;
-    parallel_for(2, [&](std::size_t i) {
-      auto config = sor_config(nodes, Scheme::kCoordNB, /*free_storage=*/i == 1, interval);
-      if (i == 1) config.ablate_empty_checkpoints = true;
-      (i == 0 ? full : sync_only) = harness::run_experiment(config);
-    });
+std::vector<Cell> run_cells() {
+  const std::vector<std::size_t> node_counts{2, 4, 8, 16, 32};
+  // Two independent baselines per node count (real and free storage), then
+  // two checkpointed runs, both at the real-storage baseline's interval:
+  // two parallel phases, entries interleaved real/free per node count.
+  const auto normals = parallel_map<ExperimentResult>(
+      node_counts.size() * 2, [&](std::size_t i) {
+        return harness::run_experiment(
+            sor_config(node_counts[i / 2], Scheme::kNone, /*free_storage=*/i % 2 == 1, 60));
+      });
+  // Empty images on a free-storage machine: saving costs nothing at all;
+  // the residual overhead is the synchronization protocol itself
+  // (requests, markers, acks, commit).
+  const auto runs = parallel_map<ExperimentResult>(
+      node_counts.size() * 2, [&](std::size_t i) {
+        const double interval = normals[i - i % 2].exec_time_s / 4.0;
+        auto config = sor_config(node_counts[i / 2], Scheme::kCoordNB,
+                                 /*free_storage=*/i % 2 == 1, interval);
+        if (i % 2 == 1) config.ablate_empty_checkpoints = true;
+        return harness::run_experiment(config);
+      });
+  std::vector<Cell> cells;
+  for (std::size_t n = 0; n < node_counts.size(); ++n) {
+    const ExperimentResult& normal = normals[2 * n];
+    const ExperimentResult& full = runs[2 * n];
     Cell cell;
+    cell.nodes = node_counts[n];
     cell.normal = normal.exec_time_s;
     cell.full = full.exec_time_s - normal.exec_time_s;
-    cell.sync_only = sync_only.exec_time_s - sync_normal.exec_time_s;
+    cell.sync_only = runs[2 * n + 1].exec_time_s - normals[2 * n + 1].exec_time_s;
     cell.ctrl_msgs = full.control_messages;
     cell.ctrl_bytes = full.control_bytes;
-    cells()[nodes] = cell;
-    state.counters["sync_overhead_s"] = cell.sync_only;
-    state.counters["full_overhead_s"] = cell.full;
+    cells.push_back(cell);
   }
+  return cells;
 }
 
-void register_benchmarks() {
-  for (std::size_t nodes : {2ul, 4ul, 8ul, 16ul, 32ul}) {
-    benchmark::RegisterBenchmark(util::format("SyncCost/nodes{}", nodes).c_str(),
-                                 [nodes](benchmark::State& state) {
-                                   run_node_count(state, nodes);
-                                 })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void print_table() {
+void print_table(const std::vector<Cell>& cells) {
   util::Table table({"nodes", "normal (s)", "full overhead (s)", "sync-only (s)",
                      "sync share", "ctrl msgs", "ctrl bytes"});
-  for (const auto& [nodes, cell] : cells()) {
-    table.add_row({util::Table::integer(static_cast<long long>(nodes)),
+  for (const Cell& cell : cells) {
+    table.add_row({util::Table::integer(static_cast<long long>(cell.nodes)),
                    util::Table::fixed(cell.normal, 1), util::Table::fixed(cell.full, 3),
                    util::Table::fixed(cell.sync_only, 3),
                    cell.full > 0 ? util::Table::percent(cell.sync_only / cell.full, 1) : "-",
@@ -117,14 +108,14 @@ void print_table() {
             "paper's central conclusion.");
 }
 
-void write_json() {
+void write_json(const std::vector<Cell>& cells) {
   using obs::json::Value;
   Value doc = Value::object();
   doc.set("table", Value::string("ablation_sync_cost"));
   Value points = Value::array();
-  for (const auto& [nodes, cell] : cells()) {
+  for (const Cell& cell : cells) {
     Value point = Value::object();
-    point.set("nodes", Value::number(std::uint64_t{nodes}));
+    point.set("nodes", Value::number(std::uint64_t{cell.nodes}));
     point.set("normal_s", Value::number(cell.normal));
     point.set("full_overhead_s", Value::number(cell.full));
     point.set("sync_only_s", Value::number(cell.sync_only));
@@ -141,11 +132,10 @@ void write_json() {
 }  // namespace chk::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  chk::bench::write_json();
+  using namespace chk::bench;
+  if (const int rc = parse_flags("ablation_sync_cost", argc, argv)) return rc;
+  const std::vector<Cell> cells = run_cells();
+  print_table(cells);
+  write_json(cells);
   return 0;
 }

@@ -4,70 +4,25 @@
 #include <atomic>
 #include <cstdio>
 #include <future>
-#include <string_view>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "obs/export.hpp"
-#include "util/format.hpp"
 
 namespace chk::bench {
 
-ResultCache& ResultCache::instance() {
-  static ResultCache cache;
-  return cache;
-}
-
-const ExperimentResult* ResultCache::find(const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = cache_.find(key);
-  return it == cache_.end() ? nullptr : &it->second;
-}
-
-const ExperimentResult& ResultCache::insert(const std::string& key,
-                                            ExperimentResult result) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  // try_emplace: if another worker finished the same (deterministic) run
-  // first, keep its copy; std::map references are stable either way.
-  return cache_.try_emplace(key, std::move(result)).first->second;
-}
-
-const ExperimentResult& ResultCache::normal(const BenchRow& row) {
-  const std::string key = cell_key(row.label, Scheme::kNone);
-  if (const auto* hit = find(key)) return *hit;
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  return insert(key, harness::run_normal(config));
-}
-
-const ExperimentResult& ResultCache::run(const std::string& key,
-                                         const ExperimentConfig& config) {
-  if (const auto* hit = find(key)) return *hit;
-  return insert(key, harness::run_experiment(config));
-}
-
-std::optional<ExperimentResult> ResultCache::lookup(const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string cell_key(const std::string& label, Scheme scheme) {
-  return util::format("{}/{}", label, to_string(scheme));
-}
-
-void set_common_counters(benchmark::State& state, const ExperimentResult& result,
-                         const ExperimentResult& normal) {
-  state.counters["sim_exec_s"] = result.exec_time_s;
-  state.counters["overhead_s"] = result.exec_time_s - normal.exec_time_s;
-  state.counters["overhead_pct"] =
-      (result.exec_time_s / normal.exec_time_s - 1.0) * 100.0;
-  state.counters["ctrl_msgs"] = static_cast<double>(result.control_messages);
-  state.counters["ckpt_MiB"] = static_cast<double>(result.bytes_written) / (1 << 20);
-  state.counters["blocked_s"] = result.app_blocked_s;
-  state.counters["disk_wait_s"] = result.disk_wait_s;
+int parse_flags(const char* driver, int argc, char** argv,
+                const std::function<void(const util::Cli&)>& read) {
+  try {
+    const util::Cli cli(argc, argv);
+    if (read) read(cli);
+    cli.reject_unread();
+    return 0;
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "%s: %s\n", driver, err.what());
+    return 2;
+  }
 }
 
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& work) {
@@ -91,22 +46,31 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& wor
   for (auto& worker : pool) worker.get();
 }
 
-bool prefetch_enabled(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]).starts_with("--benchmark_filter")) return false;
-  }
-  return true;
+Grid run_grid(const std::vector<ExperimentConfig>& bases, std::size_t columns,
+              const CellConfigFn& cell_config) {
+  Grid grid;
+  grid.columns = columns;
+  grid.normals = parallel_map<ExperimentResult>(
+      bases.size(), [&](std::size_t row) { return harness::run_normal(bases[row]); });
+  grid.cells = parallel_map<ExperimentResult>(bases.size() * columns, [&](std::size_t i) {
+    const std::size_t row = i / columns;
+    return harness::run_experiment(cell_config(row, i % columns, grid.normals[row]));
+  });
+  return grid;
 }
 
-void prefetch_table(const std::vector<BenchRow>& rows, const std::vector<Scheme>& schemes,
-                    const CellConfigFn& cell_config) {
-  auto& cache = ResultCache::instance();
-  parallel_for(rows.size(), [&](std::size_t i) { cache.normal(rows[i]); });
-  parallel_for(rows.size() * schemes.size(), [&](std::size_t i) {
-    const BenchRow& row = rows[i / schemes.size()];
-    const Scheme scheme = schemes[i % schemes.size()];
-    cache.run(cell_key(row.label, scheme), cell_config(row, scheme, cache.normal(row)));
-  });
+ExperimentConfig row_config(const BenchRow& row) {
+  ExperimentConfig config;
+  config.label = row.label;
+  config.app = row.app;
+  return config;
+}
+
+std::vector<ExperimentConfig> row_configs(const std::vector<BenchRow>& rows) {
+  std::vector<ExperimentConfig> configs;
+  configs.reserve(rows.size());
+  for (const BenchRow& row : rows) configs.push_back(row_config(row));
+  return configs;
 }
 
 obs::json::Value result_to_json(const ExperimentResult& result,
@@ -135,23 +99,20 @@ obs::json::Value result_to_json(const ExperimentResult& result,
 }
 
 obs::json::Value table_json(const std::string& table, const std::vector<BenchRow>& rows,
-                            const std::vector<Scheme>& schemes) {
+                            const Grid& grid) {
   using obs::json::Value;
-  auto& cache = ResultCache::instance();
   Value doc = Value::object();
   doc.set("table", Value::string(table));
   Value row_array = Value::array();
-  for (const BenchRow& row : rows) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const ExperimentResult& normal = grid.normals[r];
     Value entry = Value::object();
-    entry.set("label", Value::string(row.label));
-    entry.set("approx_state_bytes", Value::number(row.approx_state_bytes));
-    const auto normal = cache.lookup(cell_key(row.label, Scheme::kNone));
-    if (normal) entry.set("normal", result_to_json(*normal, nullptr));
+    entry.set("label", Value::string(rows[r].label));
+    entry.set("approx_state_bytes", Value::number(rows[r].approx_state_bytes));
+    entry.set("normal", result_to_json(normal, nullptr));
     Value cells = Value::array();
-    for (Scheme scheme : schemes) {
-      if (const auto result = cache.lookup(cell_key(row.label, scheme))) {
-        cells.push_back(result_to_json(*result, normal ? &*normal : nullptr));
-      }
+    for (std::size_t c = 0; c < grid.columns; ++c) {
+      cells.push_back(result_to_json(grid.cell(r, c), &normal));
     }
     entry.set("cells", std::move(cells));
     row_array.push_back(std::move(entry));
@@ -165,7 +126,7 @@ void write_bench_json(const std::string& path, const obs::json::Value& doc) {
   std::printf("\nWrote %s\n", path.c_str());
 }
 
-const std::vector<Scheme>& table1_schemes() {
+const std::vector<Scheme>& paper_schemes() {
   static const std::vector<Scheme> schemes{Scheme::kCoordNB, Scheme::kIndep,
                                            Scheme::kCoordNBM, Scheme::kIndepM,
                                            Scheme::kCoordNBMS};

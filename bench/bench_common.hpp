@@ -1,31 +1,25 @@
-// Shared infrastructure for the paper-table benchmark binaries.
+// The skeleton every bench/ driver is built on.
 //
-// Each binary registers one google-benchmark entry per (row, scheme) cell;
-// a cell's benchmark runs the full simulated experiment once (the measured
-// wall time is the simulator's own performance) and stores the simulated
-// metrics both as benchmark counters and in a process-wide cache. After
-// RunSpecifiedBenchmarks, main() prints the reconstructed paper table from
-// the cache and writes a machine-readable BENCH_<name>.json next to it.
-//
-// Drivers may warm the cache up front with prefetch_table(): every
-// (row, scheme) simulation is independent, so the warm-up fans out over a
-// small thread pool. The subsequent benchmark pass and the table printer
-// then read finished cells — output ordering never depends on completion
-// order.
+// A driver is a plain command-line program in three steps:
+//   1. parse_flags() reads the driver's flags through util::Cli and rejects
+//      bad values, unknown flags and stray arguments ("<driver>: <message>",
+//      exit 2) before anything runs;
+//   2. the independent simulations run through parallel_map / run_grid,
+//      which fill pre-sized vectors, so output order never depends on
+//      completion order or on the number of worker threads;
+//   3. the driver prints its paper-style table and writes BENCH_<name>.json.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <cstddef>
 #include <functional>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "harness/catalog.hpp"
 #include "harness/experiment.hpp"
 #include "obs/json.hpp"
+#include "util/cli.hpp"
+#include "util/format.hpp"
 #include "util/table.hpp"
 
 namespace chk::bench {
@@ -35,73 +29,71 @@ using harness::ExperimentConfig;
 using harness::ExperimentResult;
 using harness::Scheme;
 
-/// Process-wide experiment cache: normal baselines are shared between
-/// cells, and the end-of-run table printer reads finished cells. Safe to
-/// call from the prefetch worker threads; a simulation runs outside the
-/// lock and the first finisher of a key wins (runs are deterministic, so
-/// duplicates are identical anyway).
-class ResultCache {
- public:
-  static ResultCache& instance();
-
-  /// Run (or fetch) the no-checkpointing baseline for a row.
-  const ExperimentResult& normal(const BenchRow& row);
-
-  /// Run (or fetch) an arbitrary experiment, keyed by label+scheme+tag.
-  const ExperimentResult& run(const std::string& key, const ExperimentConfig& config);
-
-  [[nodiscard]] std::optional<ExperimentResult> lookup(const std::string& key) const;
-
- private:
-  const ExperimentResult* find(const std::string& key) const;
-  const ExperimentResult& insert(const std::string& key, ExperimentResult result);
-
-  mutable std::mutex mu_;
-  std::map<std::string, ExperimentResult> cache_;
-};
-
-/// Key helpers.
-[[nodiscard]] std::string cell_key(const std::string& label, Scheme scheme);
-
-/// Attach the standard simulated metrics to a benchmark's counters.
-void set_common_counters(benchmark::State& state, const ExperimentResult& result,
-                         const ExperimentResult& normal);
+/// Builds the Cli, calls `read` (when set) to read every flag the driver
+/// knows, then rejects any flag it did not read and any positional token.
+/// A std::invalid_argument from either step is printed to stderr as
+/// "<driver>: <message>". Returns 0 when the flags are good, else 2 — the
+/// driver's exit code.
+[[nodiscard]] int parse_flags(const char* driver, int argc, char** argv,
+                              const std::function<void(const util::Cli&)>& read = {});
 
 /// Run work(0..count-1) on a small thread pool (bounded by the hardware
 /// concurrency); blocks until every item has finished. The first exception
 /// propagates to the caller.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& work);
 
-/// Whether the driver should warm the whole cache up front: true unless
-/// the user narrowed the run with --benchmark_filter (prefetching every
-/// cell would defeat the filter).
-[[nodiscard]] bool prefetch_enabled(int argc, char** argv);
+/// out[i] = work(i) for i in [0, count), computed through parallel_for.
+template <class T>
+[[nodiscard]] std::vector<T> parallel_map(std::size_t count,
+                                          const std::function<T(std::size_t)>& work) {
+  std::vector<T> out(count);
+  parallel_for(count, [&](std::size_t i) { out[i] = work(i); });
+  return out;
+}
 
-/// Two-phase parallel cache warm-up for the table drivers. Phase 1 runs
-/// every row's baseline (cell configs depend on the baseline's execution
-/// time); phase 2 runs every (row, scheme) cell through `cell_config`.
+/// A grid of experiments: one failure-free baseline per row plus `columns`
+/// cells per row, stored row-major.
+struct Grid {
+  std::vector<ExperimentResult> normals;
+  std::vector<ExperimentResult> cells;
+  std::size_t columns = 0;
+
+  [[nodiscard]] const ExperimentResult& cell(std::size_t row, std::size_t column) const {
+    return cells[row * columns + column];
+  }
+};
+
+/// Runs the grid in two parallel phases. Phase 1 runs each row's baseline
+/// (harness::run_normal(bases[row])); phase 2 runs every cell's config,
+/// which may depend on its row's baseline (intervals are fractions of the
+/// failure-free execution time).
 using CellConfigFn =
-    std::function<ExperimentConfig(const BenchRow&, Scheme, const ExperimentResult&)>;
-void prefetch_table(const std::vector<BenchRow>& rows, const std::vector<Scheme>& schemes,
-                    const CellConfigFn& cell_config);
+    std::function<ExperimentConfig(std::size_t row, std::size_t column,
+                                   const ExperimentResult& normal)>;
+[[nodiscard]] Grid run_grid(const std::vector<ExperimentConfig>& bases, std::size_t columns,
+                            const CellConfigFn& cell_config);
 
-/// One cell's standard metrics as a JSON object (the same numbers the
-/// benchmark counters carry, plus the determinism hash). `normal` adds the
-/// derived overhead fields when present.
+/// The baseline config of a catalog row: its label and application.
+[[nodiscard]] ExperimentConfig row_config(const BenchRow& row);
+/// row_config over a list of rows.
+[[nodiscard]] std::vector<ExperimentConfig> row_configs(const std::vector<BenchRow>& rows);
+
+/// One cell's standard metrics as a JSON object, plus the determinism hash.
+/// `normal` adds the derived overhead fields when present.
 [[nodiscard]] obs::json::Value result_to_json(const ExperimentResult& result,
                                               const ExperimentResult* normal);
 
-/// Assemble the standard per-table document: one entry per row with the
-/// baseline plus every scheme cell found in the cache.
+/// The standard per-table document: one entry per row with the baseline
+/// plus one cell per scheme column of `grid`.
 [[nodiscard]] obs::json::Value table_json(const std::string& table,
                                           const std::vector<BenchRow>& rows,
-                                          const std::vector<Scheme>& schemes);
+                                          const Grid& grid);
 
 /// Write `doc` to `path` and report the path on stdout.
 void write_bench_json(const std::string& path, const obs::json::Value& doc);
 
-/// The scheme columns of Table 1 (paper order).
-[[nodiscard]] const std::vector<Scheme>& table1_schemes();
+/// The paper's five schemes in Table 1's column order.
+[[nodiscard]] const std::vector<Scheme>& paper_schemes();
 /// The scheme columns of Tables 2 and 3 (paper order).
 [[nodiscard]] const std::vector<Scheme>& table23_schemes();
 

@@ -44,246 +44,192 @@
 // (1 app, 2 MTBF points, 2 runs). Every run verifies the application
 // digest against the failure-free baseline; the output is byte-identical
 // across repeats with the same seeds.
+#include <cmath>
 #include <cstdio>
-#include <future>
-#include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "faultsim/campaign.hpp"
-#include "harness/catalog.hpp"
 #include "obs/export.hpp"
-#include "util/cli.hpp"
-#include "util/format.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace chk;
+using bench::paper_schemes;
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) out.push_back(csv.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// The five scheme columns of the paper's Table 1, in paper order.
-const std::vector<harness::Scheme>& campaign_schemes() {
-  static const std::vector<harness::Scheme> schemes{
-      harness::Scheme::kCoordNB, harness::Scheme::kIndep, harness::Scheme::kCoordNBM,
-      harness::Scheme::kIndepM, harness::Scheme::kCoordNBMS};
-  return schemes;
-}
-
-struct Cell {
-  std::string app;
-  double mtbf_frac = 0;
-  harness::Scheme scheme = harness::Scheme::kNone;
-  faultsim::CampaignResult result;
-};
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const bool quick = cli.get_bool("quick", false);
-
-  std::vector<std::string> app_labels =
-      split_list(cli.get("apps", quick ? "SOR-384" : "SOR-384,NQUEENS-14"));
+struct Options {
+  std::vector<std::string> apps;
   std::vector<double> mtbf_fracs;
-  for (const std::string& tok :
-       split_list(cli.get("mtbf-fracs", quick ? "0.4,0.8" : "0.35,0.7,1.4"))) {
-    mtbf_fracs.push_back(std::stod(tok));
-  }
-  const auto runs = static_cast<std::uint32_t>(cli.get_int("runs", quick ? 2 : 4));
-  const auto max_failures =
-      static_cast<std::uint32_t>(cli.get_int("max-failures", 6));
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  const auto checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0));
-  const double intervals = cli.get_double("intervals", 5.0);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  const auto campaign_seed =
-      static_cast<std::uint64_t>(cli.get_int("campaign-seed", 1));
+  std::uint32_t runs = 0;
+  std::uint32_t max_failures = 0;
+  std::size_t nodes = 0;
+  std::uint32_t checkpoints = 0;
+  double intervals = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t campaign_seed = 0;
   chklib::LinkFaultConfig link_faults;
   xplorer::StorageFaultConfig storage_faults;
   std::uint32_t keep_depth = 0;
   std::optional<chklib::membership::MembershipConfig> membership;
-  try {
-    link_faults.drop = cli.get_prob("link-loss", 0.0);
-    link_faults.duplicate = cli.get_prob("link-dup", 0.0);
-    link_faults.corrupt = cli.get_prob("link-corrupt", 0.0);
-    link_faults.delay_prob = cli.get_prob("link-delay", 0.0);
-    link_faults.delay_mean_s = cli.get_nonneg_double("link-delay-mean", 1e-3);
-    link_faults.validate();
-    const double io_error = cli.get_prob("io-error", 0.0);
-    storage_faults.write_error = io_error;
-    storage_faults.read_error = io_error;
-    storage_faults.bitrot = cli.get_prob("bitrot", 0.0);
-    storage_faults.degrade_factor = cli.get_nonneg_double("io-degrade", 1.0);
-    storage_faults.validate();
-    const long depth = cli.get_int("keep-depth", 0);
-    if (depth < 0) throw std::invalid_argument("--keep-depth must be >= 0");
-    keep_depth = static_cast<std::uint32_t>(depth);
-    const double detect_timeout = cli.get_nonneg_double("detect-timeout", 0.0);
-    const double hb_period = cli.get_nonneg_double("hb-period", 0.25);
-    const std::string detector_name = cli.get("detector", "binary");
-    const auto detector = chklib::membership::parse_detector(detector_name);
-    if (detector != chklib::membership::Detector::kPhiAccrual) {
-      // Same discipline as get_prob: a phi knob on the binary detector is a
-      // silently-ignored flag waiting to mislead — reject it loudly.
-      for (const char* flag : {"phi-threshold", "phi-window"}) {
-        if (cli.has(flag)) {
-          throw std::invalid_argument(std::string("--") + flag +
-                                      " needs --detector=phi (the binary "
-                                      "detector has no phi knobs)");
-        }
+  bool transport = true;
+  bool target_coordinator = false;
+  std::string json_out;
+};
+
+Options read_options(const util::Cli& cli) {
+  const bool quick = cli.get_bool("quick", false);
+  Options o;
+  o.apps = cli.get_list("apps", quick ? "SOR-384" : "SOR-384,NQUEENS-14");
+  for (const std::string& label : o.apps) (void)harness::find_row(label);
+  o.mtbf_fracs =
+      cli.get_doubles("mtbf-fracs", quick ? "0.4,0.8" : "0.35,0.7,1.4", 0.0, HUGE_VAL);
+  o.runs = static_cast<std::uint32_t>(cli.get_int("runs", quick ? 2 : 4, 1));
+  o.max_failures = static_cast<std::uint32_t>(cli.get_int("max-failures", 6, 0));
+  o.nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1));
+  o.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0));
+  o.intervals = cli.get_double("intervals", 5.0);
+  o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  o.campaign_seed = static_cast<std::uint64_t>(cli.get_int("campaign-seed", 1));
+  o.link_faults.drop = cli.get_prob("link-loss", 0.0);
+  o.link_faults.duplicate = cli.get_prob("link-dup", 0.0);
+  o.link_faults.corrupt = cli.get_prob("link-corrupt", 0.0);
+  o.link_faults.delay_prob = cli.get_prob("link-delay", 0.0);
+  o.link_faults.delay_mean_s = cli.get_nonneg_double("link-delay-mean", 1e-3);
+  o.link_faults.validate();
+  const double io_error = cli.get_prob("io-error", 0.0);
+  o.storage_faults.write_error = io_error;
+  o.storage_faults.read_error = io_error;
+  o.storage_faults.bitrot = cli.get_prob("bitrot", 0.0);
+  o.storage_faults.degrade_factor = cli.get_nonneg_double("io-degrade", 1.0);
+  o.storage_faults.validate();
+  o.keep_depth = static_cast<std::uint32_t>(cli.get_int("keep-depth", 0, 0));
+  const double detect_timeout = cli.get_nonneg_double("detect-timeout", 0.0);
+  const double hb_period = cli.get_nonneg_double("hb-period", 0.25);
+  const std::string detector_name = cli.get("detector", "binary");
+  const auto detector = chklib::membership::parse_detector(detector_name);
+  if (detector != chklib::membership::Detector::kPhiAccrual) {
+    // Same discipline as get_prob: a phi knob on the binary detector is a
+    // silently-ignored flag waiting to mislead — reject it loudly.
+    for (const char* flag : {"phi-threshold", "phi-window"}) {
+      if (cli.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " needs --detector=phi (the binary "
+                                    "detector has no phi knobs)");
       }
     }
-    if (detect_timeout > 0) {
-      chklib::membership::MembershipConfig m;
-      m.detect_timeout = des::Duration::seconds(detect_timeout);
-      m.hb_period = des::Duration::seconds(hb_period);
-      m.detector = detector;
-      if (detector == chklib::membership::Detector::kPhiAccrual) {
-        const double threshold = cli.get_nonneg_double("phi-threshold", 8.0);
-        if (threshold <= 0) {
-          throw std::invalid_argument("--phi-threshold must be positive");
-        }
-        const long window = cli.get_int("phi-window", 32);
-        if (window <= 0) {
-          throw std::invalid_argument("--phi-window must be positive");
-        }
-        m.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
-        m.accrual.window = static_cast<std::uint32_t>(window);
+  }
+  if (detect_timeout > 0) {
+    chklib::membership::MembershipConfig m;
+    m.detect_timeout = des::Duration::seconds(detect_timeout);
+    m.hb_period = des::Duration::seconds(hb_period);
+    m.detector = detector;
+    if (detector == chklib::membership::Detector::kPhiAccrual) {
+      const double threshold = cli.get_nonneg_double("phi-threshold", 8.0);
+      if (threshold <= 0) {
+        throw std::invalid_argument("--phi-threshold must be positive");
       }
-      m.validate(nodes);
-      membership = m;
-    } else if (cli.has("detector") && detector_name != "binary") {
-      throw std::invalid_argument(
-          "--detector=phi needs --detect-timeout > 0 to arm the membership "
-          "service (the detector has nothing to run on otherwise)");
+      m.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
+      m.accrual.window = static_cast<std::uint32_t>(cli.get_int("phi-window", 32, 1));
     }
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "campaign: %s\n", err.what());
-    return 2;
+    m.validate(o.nodes);
+    o.membership = m;
+  } else if (cli.has("detector") && detector_name != "binary") {
+    throw std::invalid_argument(
+        "--detector=phi needs --detect-timeout > 0 to arm the membership "
+        "service (the detector has nothing to run on otherwise)");
   }
-  const bool transport = cli.get_bool("transport", true);
-  const bool target_coordinator = cli.get_bool("target-coordinator", false);
-  if (membership.has_value() && !transport) {
-    std::fprintf(stderr,
-                 "campaign: --detect-timeout requires the reliable transport — "
-                 "heartbeats over raw lossy links turn every detection timeout "
-                 "into a coin flip (drop --no-transport)\n");
-    return 2;
+  o.transport = cli.get_bool("transport", true);
+  o.target_coordinator = cli.get_bool("target-coordinator", false);
+  if (o.membership.has_value() && !o.transport) {
+    throw std::invalid_argument(
+        "--detect-timeout requires the reliable transport — heartbeats over raw "
+        "lossy links turn every detection timeout into a coin flip (drop "
+        "--no-transport)");
   }
-  if (target_coordinator && !membership.has_value()) {
-    std::fprintf(stderr,
-                 "campaign: --target-coordinator needs --detect-timeout > 0 — "
-                 "without the membership service there is no elected "
-                 "coordinator to aim at\n");
-    return 2;
+  if (o.target_coordinator && !o.membership.has_value()) {
+    throw std::invalid_argument(
+        "--target-coordinator needs --detect-timeout > 0 — without the "
+        "membership service there is no elected coordinator to aim at");
   }
+  o.json_out = cli.get("json-out", "BENCH_campaign.json");
+  return o;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  if (const int rc = bench::parse_flags("campaign", argc, argv,
+                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+    return rc;
+  }
+  const std::size_t apps = opt.apps.size();
+  const std::size_t fracs = opt.mtbf_fracs.size();
+  const std::size_t columns = paper_schemes().size();
 
   // Failure-free baselines: the MTBF sweep and the checkpoint interval are
   // both expressed relative to each app's normal execution time, and the
   // baseline digest is the ground truth every faulted run must reproduce.
-  std::printf("Baselines (no checkpointing, %zu nodes)...\n", nodes);
-  std::map<std::string, harness::ExperimentResult> normals;
-  {
-    std::vector<std::future<harness::ExperimentResult>> pending;
-    pending.reserve(app_labels.size());
-    for (const std::string& label : app_labels) {
-      harness::ExperimentConfig config;
-      config.label = label;
-      config.app = harness::find_row(label).app;
-      config.machine.num_nodes = nodes;
-      config.seed = seed;
-      pending.push_back(std::async(std::launch::async, [config] {
-        return harness::run_normal(config);
-      }));
-    }
-    for (std::size_t i = 0; i < app_labels.size(); ++i) {
-      normals.emplace(app_labels[i], pending[i].get());
-    }
-  }
+  std::printf("Baselines (no checkpointing, %zu nodes)...\n", opt.nodes);
+  const auto normals = bench::parallel_map<harness::ExperimentResult>(apps, [&](std::size_t a) {
+    harness::ExperimentConfig config = bench::row_config(harness::find_row(opt.apps[a]));
+    config.machine.num_nodes = opt.nodes;
+    config.seed = opt.seed;
+    return harness::run_normal(config);
+  });
 
-  // One campaign per (app, mtbf, scheme) cell; cells are independent, so
-  // fan out and collect in fixed order (output never depends on completion
-  // order).
-  std::vector<Cell> cells;
-  for (const std::string& label : app_labels) {
-    for (double frac : mtbf_fracs) {
-      for (harness::Scheme scheme : campaign_schemes()) {
-        cells.push_back(Cell{label, frac, scheme, {}});
-      }
-    }
-  }
-  {
-    std::vector<std::future<faultsim::CampaignResult>> pending;
-    pending.reserve(cells.size());
-    for (const Cell& cell : cells) {
-      const harness::ExperimentResult& normal = normals.at(cell.app);
-      faultsim::CampaignConfig config;
-      config.base.label = cell.app;
-      config.base.app = harness::find_row(cell.app).app;
-      config.base.scheme = cell.scheme;
-      config.base.machine.num_nodes = nodes;
-      config.base.seed = seed;
-      config.base.checkpoints = checkpoints;
-      config.base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
-      config.mtbf = des::Duration::seconds(normal.exec_time_s * cell.mtbf_frac);
-      config.runs = runs;
-      config.campaign_seed = campaign_seed;
-      config.max_failures_per_run = max_failures;
-      config.expected_digest = normal.digest;
-      if (link_faults.enabled()) {
-        config.link_faults = link_faults;
-        config.reliable_transport = transport;
-      }
-      if (storage_faults.enabled()) config.storage_faults = storage_faults;
-      config.membership = membership;
-      // The sweep always spans every scheme; independent schemes have no
-      // coordinator to aim at, so they keep the uniform victim draw.
-      config.target_coordinator =
-          target_coordinator && chklib::is_coordinated(cell.scheme);
-      config.keep_depth = keep_depth;
-      pending.push_back(std::async(std::launch::async, [config] {
+  // One campaign per (app, mtbf, scheme) cell, app-major.
+  const auto results = bench::parallel_map<faultsim::CampaignResult>(
+      apps * fracs * columns, [&](std::size_t i) {
+        const std::size_t a = i / (fracs * columns);
+        const harness::Scheme scheme = paper_schemes()[i % columns];
+        const harness::ExperimentResult& normal = normals[a];
+        faultsim::CampaignConfig config;
+        config.base = bench::row_config(harness::find_row(opt.apps[a]));
+        config.base.scheme = scheme;
+        config.base.machine.num_nodes = opt.nodes;
+        config.base.seed = opt.seed;
+        config.base.checkpoints = opt.checkpoints;
+        config.base.interval = des::Duration::seconds(normal.exec_time_s / opt.intervals);
+        config.mtbf =
+            des::Duration::seconds(normal.exec_time_s * opt.mtbf_fracs[i / columns % fracs]);
+        config.runs = opt.runs;
+        config.campaign_seed = opt.campaign_seed;
+        config.max_failures_per_run = opt.max_failures;
+        config.expected_digest = normal.digest;
+        if (opt.link_faults.enabled()) {
+          config.link_faults = opt.link_faults;
+          config.reliable_transport = opt.transport;
+        }
+        if (opt.storage_faults.enabled()) config.storage_faults = opt.storage_faults;
+        config.membership = opt.membership;
+        // The sweep always spans every scheme; independent schemes have no
+        // coordinator to aim at, so they keep the uniform victim draw.
+        config.target_coordinator = opt.target_coordinator && chklib::is_coordinated(scheme);
+        config.keep_depth = opt.keep_depth;
         return faultsim::run_campaign(config);
-      }));
-    }
-    for (std::size_t i = 0; i < cells.size(); ++i) cells[i].result = pending[i].get();
-  }
+      });
 
   // Expected-completion-time table: rows = app x MTBF, columns = schemes.
   std::vector<std::string> header{"app", "MTBF/T"};
-  for (harness::Scheme scheme : campaign_schemes()) {
-    header.emplace_back(to_string(scheme));
-  }
+  for (harness::Scheme scheme : paper_schemes()) header.emplace_back(to_string(scheme));
   util::Table table(header);
-  std::size_t cell_index = 0;
   bool all_verified = true;
-  for (const std::string& label : app_labels) {
-    for (double frac : mtbf_fracs) {
-      std::vector<std::string> row{label, util::Table::fixed(frac, 2)};
-      for (std::size_t s = 0; s < campaign_schemes().size(); ++s) {
-        const faultsim::CampaignSummary& sum = cells[cell_index++].result.summary;
-        all_verified = all_verified && sum.all_verified;
-        const double slowdown =
-            sum.mean_completion_s / normals.at(label).exec_time_s;
-        row.push_back(util::format("{} ({}x)",
-                                   util::Table::fixed(sum.mean_completion_s, 1),
-                                   util::Table::fixed(slowdown, 2)));
-      }
-      table.add_row(std::move(row));
+  for (std::size_t i = 0; i < results.size(); i += columns) {
+    const std::size_t a = i / (fracs * columns);
+    std::vector<std::string> row{opt.apps[a],
+                                 util::Table::fixed(opt.mtbf_fracs[i / columns % fracs], 2)};
+    for (std::size_t s = 0; s < columns; ++s) {
+      const faultsim::CampaignSummary& sum = results[i + s].summary;
+      all_verified = all_verified && sum.all_verified;
+      const double slowdown = sum.mean_completion_s / normals[a].exec_time_s;
+      row.push_back(util::format("{} ({}x)", util::Table::fixed(sum.mean_completion_s, 1),
+                                 util::Table::fixed(slowdown, 2)));
     }
+    table.add_row(std::move(row));
   }
   std::fputs(
       table
@@ -292,33 +238,35 @@ int main(int argc, char** argv) {
               "MTBF as a fraction of the failure-free time T; every run "
               "injects Poisson failures plus targeted mid-write and "
               "during-recovery strikes; digests verified: {})",
-              runs, all_verified ? "yes" : "NO"))
+              opt.runs, all_verified ? "yes" : "NO"))
           .c_str(),
       stdout);
 
   // Machine-readable document: fixed iteration order, simulated quantities
   // only — byte-identical across repeats with the same seeds.
   using obs::json::Value;
+  const auto& membership = opt.membership;
+  const bool phi =
+      membership.has_value() && membership->detector == chklib::membership::Detector::kPhiAccrual;
   Value doc = Value::object();
   doc.set("table", Value::string("campaign"));
-  doc.set("nodes", Value::number(std::uint64_t{nodes}));
-  doc.set("runs", Value::number(std::uint64_t{runs}));
-  doc.set("max_failures_per_run", Value::number(std::uint64_t{max_failures}));
-  doc.set("seed", Value::number(seed));
-  doc.set("campaign_seed", Value::number(campaign_seed));
-  doc.set("link_loss", Value::number(link_faults.drop));
-  doc.set("link_dup", Value::number(link_faults.duplicate));
-  doc.set("link_corrupt", Value::number(link_faults.corrupt));
-  doc.set("link_delay", Value::number(link_faults.delay_prob));
-  doc.set("reliable_transport", Value::boolean(transport));
-  doc.set("io_error", Value::number(storage_faults.write_error));
-  doc.set("io_degrade", Value::number(storage_faults.degrade_factor));
-  doc.set("bitrot", Value::number(storage_faults.bitrot));
-  doc.set("keep_depth", Value::number(std::uint64_t{keep_depth}));
+  doc.set("nodes", Value::number(std::uint64_t{opt.nodes}));
+  doc.set("runs", Value::number(std::uint64_t{opt.runs}));
+  doc.set("max_failures_per_run", Value::number(std::uint64_t{opt.max_failures}));
+  doc.set("seed", Value::number(opt.seed));
+  doc.set("campaign_seed", Value::number(opt.campaign_seed));
+  doc.set("link_loss", Value::number(opt.link_faults.drop));
+  doc.set("link_dup", Value::number(opt.link_faults.duplicate));
+  doc.set("link_corrupt", Value::number(opt.link_faults.corrupt));
+  doc.set("link_delay", Value::number(opt.link_faults.delay_prob));
+  doc.set("reliable_transport", Value::boolean(opt.transport));
+  doc.set("io_error", Value::number(opt.storage_faults.write_error));
+  doc.set("io_degrade", Value::number(opt.storage_faults.degrade_factor));
+  doc.set("bitrot", Value::number(opt.storage_faults.bitrot));
+  doc.set("keep_depth", Value::number(std::uint64_t{opt.keep_depth}));
   doc.set("detect_timeout_s",
-          Value::number(membership.has_value()
-                            ? membership->detect_timeout.to_seconds()
-                            : 0.0));
+          Value::number(membership.has_value() ? membership->detect_timeout.to_seconds()
+                                               : 0.0));
   doc.set("hb_period_s",
           Value::number(membership.has_value() ? membership->hb_period.to_seconds()
                                                : 0.0));
@@ -327,49 +275,39 @@ int main(int argc, char** argv) {
                             ? chklib::membership::to_string(membership->detector)
                             : "off"));
   doc.set("phi_threshold",
-          Value::number(
-              membership.has_value() &&
-                      membership->detector == chklib::membership::Detector::kPhiAccrual
-                  ? static_cast<double>(membership->accrual.threshold_milli) / 1000.0
-                  : 0.0));
+          Value::number(phi ? static_cast<double>(membership->accrual.threshold_milli) / 1000.0
+                            : 0.0));
   doc.set("phi_window",
-          Value::number(
-              membership.has_value() &&
-                      membership->detector == chklib::membership::Detector::kPhiAccrual
-                  ? std::uint64_t{membership->accrual.window}
-                  : std::uint64_t{0}));
-  doc.set("target_coordinator", Value::boolean(target_coordinator));
+          Value::number(phi ? std::uint64_t{membership->accrual.window} : std::uint64_t{0}));
+  doc.set("target_coordinator", Value::boolean(opt.target_coordinator));
   doc.set("all_verified", Value::boolean(all_verified));
   Value row_array = Value::array();
-  cell_index = 0;
-  for (const std::string& label : app_labels) {
-    const harness::ExperimentResult& normal = normals.at(label);
-    for (double frac : mtbf_fracs) {
-      Value entry = Value::object();
-      entry.set("app", Value::string(label));
-      entry.set("normal_exec_s", Value::number(normal.exec_time_s));
-      entry.set("mtbf_frac", Value::number(frac));
-      entry.set("mtbf_s", Value::number(normal.exec_time_s * frac));
-      Value cell_array = Value::array();
-      for (std::size_t s = 0; s < campaign_schemes().size(); ++s) {
-        const Cell& cell = cells[cell_index++];
-        Value cv = Value::object();
-        cv.set("scheme", Value::string(std::string(to_string(cell.scheme))));
-        cv.set("summary", faultsim::summary_to_json(cell.result.summary));
-        Value run_array = Value::array();
-        for (const faultsim::RunOutcome& outcome : cell.result.outcomes) {
-          run_array.push_back(faultsim::outcome_to_json(outcome));
-        }
-        cv.set("runs", std::move(run_array));
-        cell_array.push_back(std::move(cv));
+  for (std::size_t i = 0; i < results.size(); i += columns) {
+    const std::size_t a = i / (fracs * columns);
+    const double frac = opt.mtbf_fracs[i / columns % fracs];
+    Value entry = Value::object();
+    entry.set("app", Value::string(opt.apps[a]));
+    entry.set("normal_exec_s", Value::number(normals[a].exec_time_s));
+    entry.set("mtbf_frac", Value::number(frac));
+    entry.set("mtbf_s", Value::number(normals[a].exec_time_s * frac));
+    Value cell_array = Value::array();
+    for (std::size_t s = 0; s < columns; ++s) {
+      const faultsim::CampaignResult& result = results[i + s];
+      Value cv = Value::object();
+      cv.set("scheme", Value::string(std::string(to_string(paper_schemes()[s]))));
+      cv.set("summary", faultsim::summary_to_json(result.summary));
+      Value run_array = Value::array();
+      for (const faultsim::RunOutcome& outcome : result.outcomes) {
+        run_array.push_back(faultsim::outcome_to_json(outcome));
       }
-      entry.set("cells", std::move(cell_array));
-      row_array.push_back(std::move(entry));
+      cv.set("runs", std::move(run_array));
+      cell_array.push_back(std::move(cv));
     }
+    entry.set("cells", std::move(cell_array));
+    row_array.push_back(std::move(entry));
   }
   doc.set("rows", std::move(row_array));
-  const std::string path = cli.get("json-out", "BENCH_campaign.json");
-  obs::write_text_file(path, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", path.c_str());
+  obs::write_text_file(opt.json_out, doc.dump() + "\n");
+  std::printf("\nWrote %s\n", opt.json_out.c_str());
   return all_verified ? 0 : 1;
 }

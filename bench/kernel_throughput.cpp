@@ -23,6 +23,7 @@
 //   * every sent envelope is delivered exactly once;
 //   * the queue's live size stays O(armed timers): the dead fraction is
 //     bounded by the kernel's compaction threshold, not by traffic volume.
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -30,13 +31,13 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "chklib/comm/transport.hpp"
 #include "des/process.hpp"
 #include "des/simulator.hpp"
 #include "obs/json.hpp"
 #include "obs/export.hpp"
 #include "obs/tracer.hpp"
-#include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -142,67 +143,66 @@ CellResult run_cell(const CellConfig& cc) {
   return out;
 }
 
-std::vector<std::size_t> parse_sizes(const std::string& flag, const std::string& csv,
-                                     std::size_t min, std::size_t max) {
+/// Strict comma-separated integer list with every value in [lo, hi].
+std::vector<std::size_t> get_sizes(const util::Cli& cli, const std::string& key,
+                                   const std::string& fallback, std::size_t lo,
+                                   std::size_t hi) {
   std::vector<std::size_t> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) {
-      const std::string tok = csv.substr(start, end - start);
-      char* tail = nullptr;
-      const unsigned long long v = std::strtoull(tok.c_str(), &tail, 10);
-      if (tail != tok.c_str() + tok.size() || v < min || v > max) {
-        throw std::invalid_argument(flag + ": expected an integer in [" +
-                                    std::to_string(min) + "," + std::to_string(max) +
-                                    "], got \"" + tok + "\"");
-      }
-      out.push_back(static_cast<std::size_t>(v));
+  for (const double v : cli.get_doubles(key, fallback, static_cast<double>(lo),
+                                        static_cast<double>(hi) + 1)) {
+    if (v != std::floor(v)) {
+      throw std::invalid_argument(util::format("--{}: expected integers, got {}", key, v));
     }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+    out.push_back(static_cast<std::size_t>(v));
   }
-  if (out.empty()) throw std::invalid_argument(flag + ": empty list");
   return out;
+}
+
+struct Options {
+  std::vector<std::size_t> ranks;
+  std::vector<std::size_t> churns;
+  std::size_t iters = 0;
+  std::size_t payload = 0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+};
+
+Options read_options(const util::Cli& cli) {
+  const bool quick = cli.get_bool("quick", false);
+  Options o;
+  o.ranks = get_sizes(cli, "ranks", quick ? "8,64" : "8,64,256", 2, 4096);
+  o.churns = get_sizes(cli, "churn", "0,8", 0, 1024);
+  o.iters = static_cast<std::size_t>(cli.get_int("iters", quick ? 60 : 300, 1));
+  o.payload = static_cast<std::size_t>(cli.get_int("payload", 32, 0));
+  o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  o.json_out = cli.get("json-out", "BENCH_kernel.json");
+  if (o.payload > 4096) throw std::invalid_argument("--payload must be <= 4096");
+  return o;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const bool quick = cli.get_bool("quick", false);
-
-  std::vector<std::size_t> ranks;
-  std::vector<std::size_t> churns;
-  try {
-    ranks = parse_sizes("--ranks", cli.get("ranks", quick ? "8,64" : "8,64,256"), 2, 4096);
-    churns = parse_sizes("--churn", cli.get("churn", "0,8"), 0, 1024);
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "kernel_throughput: %s\n", err.what());
-    return 2;
+  Options opt;
+  if (const int rc = bench::parse_flags("kernel_throughput", argc, argv,
+                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+    return rc;
   }
-  const auto iters = static_cast<std::size_t>(
-      cli.get_int("iters", quick ? 60 : 300));
-  const auto payload = static_cast<std::size_t>(cli.get_int("payload", 32));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  const std::string json_out = cli.get("json-out", "BENCH_kernel.json");
-  if (iters < 1 || payload > 4096) {
-    std::fprintf(stderr, "kernel_throughput: --iters >= 1, --payload <= 4096\n");
-    return 2;
-  }
+  const std::size_t iters = opt.iters;
 
   struct Row {
     CellConfig config;
     CellResult traced;
     CellResult untraced;
   };
+  // Deliberately serial, unlike the other drivers: the wall-clock rates are
+  // the measurement, and concurrent cells would contend for the cores.
   std::vector<Row> rows;
-  for (const std::size_t r : ranks) {
-    for (const std::size_t c : churns) {
+  for (const std::size_t r : opt.ranks) {
+    for (const std::size_t c : opt.churns) {
       Row row;
       row.config = CellConfig{.ranks = r, .churn = c, .tracing = false,
-                              .iters = iters, .payload = payload, .seed = seed};
+                              .iters = iters, .payload = opt.payload, .seed = opt.seed};
       row.untraced = run_cell(row.config);
       row.config.tracing = true;
       row.traced = run_cell(row.config);
@@ -260,9 +260,9 @@ int main(int argc, char** argv) {
   // Deterministic artifact: simulation-schedule facts only (no wall clock).
   obs::json::Value doc = obs::json::Value::object();
   doc.set("table", obs::json::Value::string("kernel_throughput"));
-  doc.set("seed", obs::json::Value::number(seed));
+  doc.set("seed", obs::json::Value::number(opt.seed));
   doc.set("iters", obs::json::Value::number(static_cast<std::uint64_t>(iters)));
-  doc.set("payload", obs::json::Value::number(static_cast<std::uint64_t>(payload)));
+  doc.set("payload", obs::json::Value::number(static_cast<std::uint64_t>(opt.payload)));
   doc.set("all_ok", obs::json::Value::boolean(all_ok));
   obs::json::Value cells = obs::json::Value::array();
   for (const Row& row : rows) {
@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
     cells.push_back(std::move(cell));
   }
   doc.set("cells", std::move(cells));
-  obs::write_text_file(json_out, doc.dump() + "\n");
-  std::printf("wrote %s\n", json_out.c_str());
+  obs::write_text_file(opt.json_out, doc.dump() + "\n");
+  std::printf("wrote %s\n", opt.json_out.c_str());
   return all_ok ? 0 : 1;
 }

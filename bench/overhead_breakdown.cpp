@@ -17,15 +17,14 @@
 // snapshot + attribution; --json-out (default BENCH_overhead_breakdown.json)
 // collects every scheme's breakdown machine-readably.
 #include <cstdio>
-#include <future>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/sor.hpp"
-#include "harness/experiment.hpp"
+#include "bench_common.hpp"
 #include "obs/export.hpp"
-#include "util/cli.hpp"
-#include "util/format.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -53,42 +52,63 @@ obs::json::Value scheme_json(const harness::ExperimentResult& result,
   return entry;
 }
 
+struct Options {
+  harness::ExperimentConfig base;
+  std::optional<double> interval_s;
+  std::string trace_scheme;
+  std::optional<std::string> trace_out;
+  std::optional<std::string> metrics_out;
+  std::string json_out;
+};
+
+Options read_options(const util::Cli& cli) {
+  Options o;
+  o.base.label = "SOR";
+  o.base.app = apps::make_sor({
+      .n = static_cast<std::size_t>(cli.get_int("n", 256, 1)),
+      .iterations = static_cast<std::uint32_t>(cli.get_int("iters", 60, 0)),
+  });
+  o.base.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1));
+  o.base.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3, 0));
+  o.base.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  o.base.observe = true;
+  if (cli.has("interval-s")) o.interval_s = cli.get_double("interval-s", 30.0);
+  o.trace_scheme = cli.get("trace-scheme", "Coord_NBM");
+  bool known = false;
+  for (harness::Scheme scheme : all_schemes()) known = known || to_string(scheme) == o.trace_scheme;
+  if (!known) {
+    throw std::invalid_argument("--trace-scheme=" + o.trace_scheme +
+                                " is not a checkpointing scheme");
+  }
+  if (cli.has("trace-out")) o.trace_out = cli.get("trace-out", "trace.json");
+  if (cli.has("metrics-out")) o.metrics_out = cli.get("metrics-out", "metrics.json");
+  o.json_out = cli.get("json-out", "BENCH_overhead_breakdown.json");
+  return o;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-
-  harness::ExperimentConfig base;
-  base.label = "SOR";
-  base.app = apps::make_sor({
-      .n = static_cast<std::size_t>(cli.get_int("n", 256)),
-      .iterations = static_cast<std::uint32_t>(cli.get_int("iters", 60)),
-  });
-  base.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  base.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3));
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  base.observe = true;
+  Options opt;
+  if (const int rc = bench::parse_flags("overhead_breakdown", argc, argv,
+                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+    return rc;
+  }
+  harness::ExperimentConfig& base = opt.base;
 
   std::printf("Baseline run (no checkpointing, %zu nodes)...\n", base.machine.num_nodes);
   const auto normal = harness::run_normal(base);
   base.interval = des::Duration::seconds(
-      cli.has("interval-s") ? cli.get_double("interval-s", 30.0)
-                            : normal.exec_time_s / (base.checkpoints + 1.0));
+      opt.interval_s.value_or(normal.exec_time_s / (base.checkpoints + 1.0)));
 
   // Every scheme's run is independent: fan out, then report in fixed order.
   const auto& schemes = all_schemes();
-  std::vector<std::future<harness::ExperimentResult>> pending;
-  pending.reserve(schemes.size());
-  for (harness::Scheme scheme : schemes) {
-    harness::ExperimentConfig config = base;
-    config.scheme = scheme;
-    pending.push_back(std::async(std::launch::async, [config] {
-      return harness::run_experiment(config);
-    }));
-  }
-  std::vector<harness::ExperimentResult> results;
-  results.reserve(schemes.size());
-  for (auto& future : pending) results.push_back(future.get());
+  const auto results =
+      bench::parallel_map<harness::ExperimentResult>(schemes.size(), [&](std::size_t i) {
+        harness::ExperimentConfig config = base;
+        config.scheme = schemes[i];
+        return harness::run_experiment(config);
+      });
 
   // Buckets are summed over ranks (rank-seconds); the comparable total is
   // the wall-clock overhead every rank experiences, overhead x num_ranks.
@@ -122,33 +142,26 @@ int main(int argc, char** argv) {
                  .c_str(),
              stdout);
 
-  // Detailed exports for one selected scheme.
-  const std::string trace_scheme = cli.get("trace-scheme", "Coord_NBM");
+  // Detailed exports for one selected scheme (read_options checked the name).
   const harness::ExperimentResult* selected = nullptr;
   for (const auto& result : results) {
-    if (to_string(result.scheme) == trace_scheme) selected = &result;
+    if (to_string(result.scheme) == opt.trace_scheme) selected = &result;
   }
-  if (selected == nullptr) {
-    std::fprintf(stderr, "ERROR: --trace-scheme=%s is not a checkpointing scheme\n",
-                 trace_scheme.c_str());
-    return 1;
-  }
-  if (cli.has("trace-out")) {
-    const std::string path = cli.get("trace-out", "trace.json");
+  if (opt.trace_out) {
+    const std::string& path = *opt.trace_out;
     obs::write_text_file(
         path, obs::to_chrome_trace(selected->obs->trace, base.machine.num_nodes).dump());
     std::printf("\nWrote %s (%s, %zu events; open with ui.perfetto.dev)\n", path.c_str(),
-                trace_scheme.c_str(), selected->obs->trace.events.size());
+                opt.trace_scheme.c_str(), selected->obs->trace.events.size());
   }
-  if (cli.has("metrics-out")) {
+  if (opt.metrics_out) {
     using obs::json::Value;
     Value doc = Value::object();
-    doc.set("scheme", Value::string(trace_scheme));
+    doc.set("scheme", Value::string(opt.trace_scheme));
     doc.set("metrics", obs::metrics_to_json(selected->obs->metrics));
     doc.set("attribution", obs::attribution_to_json(selected->obs->attribution));
-    const std::string path = cli.get("metrics-out", "metrics.json");
-    obs::write_text_file(path, doc.dump() + "\n");
-    std::printf("Wrote %s\n", path.c_str());
+    obs::write_text_file(*opt.metrics_out, doc.dump() + "\n");
+    std::printf("Wrote %s\n", opt.metrics_out->c_str());
   }
 
   // Machine-readable summary of the whole table.
@@ -163,9 +176,8 @@ int main(int argc, char** argv) {
     Value entries = Value::array();
     for (const auto& result : results) entries.push_back(scheme_json(result, normal));
     doc.set("schemes", std::move(entries));
-    const std::string path = cli.get("json-out", "BENCH_overhead_breakdown.json");
-    obs::write_text_file(path, doc.dump() + "\n");
-    std::printf("Wrote %s\n", path.c_str());
+    obs::write_text_file(opt.json_out, doc.dump() + "\n");
+    std::printf("Wrote %s\n", opt.json_out.c_str());
   }
   return 0;
 }

@@ -6,10 +6,12 @@
 // For each (application, scheme) pair we crash a node at several points in
 // the run and report how far the system rolled back and how much work was
 // lost. Every recovered run's result is verified against the failure-free
-// digest.
-#include <benchmark/benchmark.h>
-
+// digest; a mismatch fails the run (exit 1).
+//
+//   ./recovery_rollback        (no flags)
+#include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "bench_common.hpp"
 
@@ -41,17 +43,10 @@ const std::vector<double>& fail_fractions() {
   return fracs;
 }
 
-std::string key_of(const Case& c, double frac) {
-  return util::format("{}/{}/f{:.2f}", c.app, c.name(), frac);
-}
-
-void run_case(benchmark::State& state, const Case& c, double frac) {
-  auto& cache = ResultCache::instance();
-  const BenchRow row = harness::find_row(c.app);
-  const auto& normal = cache.normal(row);
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
+/// Case `c` with a node crash at `frac` of the failure-free execution time
+/// `normal` measured for its application.
+ExperimentConfig crash_config(const Case& c, double frac, const ExperimentResult& normal) {
+  ExperimentConfig config = row_config(harness::find_row(c.app));
   config.scheme = c.scheme;
   config.checkpoints = 0;  // keep checkpointing until done
   config.interval = des::Duration::seconds(normal.exec_time_s / 5.0);
@@ -61,48 +56,18 @@ void run_case(benchmark::State& state, const Case& c, double frac) {
   }
   config.failure = harness::FailureSpec{
       des::TimePoint::origin() + des::Duration::seconds(normal.exec_time_s * frac), 3};
-  for (auto _ : state) {
-    const auto& result = cache.run(key_of(c, frac), config);
-    if (result.digest != normal.digest) {
-      state.SkipWithError("recovered digest mismatch!");
-      return;
-    }
-    if (!result.recoveries.empty()) {
-      const auto& report = result.recoveries.front();
-      double max_rollback = 0;
-      for (const auto& d : report.rollback_distance) {
-        max_rollback = std::max(max_rollback, d.to_seconds());
-      }
-      state.counters["rollback_s"] = max_rollback;
-      state.counters["latency_s"] = report.recovery_latency.to_seconds();
-      state.counters["domino_origin"] = report.rolled_to_origin ? 1 : 0;
-    }
-    state.counters["total_s"] = result.exec_time_s;
-  }
+  return config;
 }
 
-void register_benchmarks() {
-  for (const auto& c : cases()) {
-    for (double frac : fail_fractions()) {
-      benchmark::RegisterBenchmark(
-          util::format("Recovery/{}/{}/fail{:.0f}pct", c.app, c.name(), frac * 100)
-              .c_str(),
-          [c, frac](benchmark::State& state) { run_case(state, c, frac); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
+void print_table(const std::vector<ExperimentResult>& results) {
   util::Table table({"app", "scheme", "fail at", "rollback (s)", "domino depth",
                      "to origin?", "recovery (s)", "total (s)", "verified"});
+  std::size_t index = 0;
   for (const auto& c : cases()) {
     for (double frac : fail_fractions()) {
-      const auto result = cache.lookup(key_of(c, frac));
-      if (!result || result->recoveries.empty()) continue;
-      const auto& report = result->recoveries.front();
+      const ExperimentResult& result = results[index++];
+      if (result.recoveries.empty()) continue;
+      const auto& report = result.recoveries.front();
       double max_rollback = 0;
       std::uint32_t max_depth = 0;
       for (const auto& d : report.rollback_distance) {
@@ -114,8 +79,8 @@ void print_table() {
                      util::Table::integer(max_depth),
                      report.rolled_to_origin ? "YES" : "no",
                      util::Table::fixed(report.recovery_latency.to_seconds(), 2),
-                     util::Table::fixed(result->exec_time_s, 1),
-                     result->digest ? "ok" : "?"});
+                     util::Table::fixed(result.exec_time_s, 1),
+                     result.digest ? "ok" : "?"});
     }
   }
   std::fputs(table.render("Rollback behaviour under a node crash (all results verified "
@@ -133,10 +98,35 @@ void print_table() {
 }  // namespace chk::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  return 0;
+  using namespace chk::bench;
+  if (const int rc = parse_flags("recovery_rollback", argc, argv)) return rc;
+  // One failure-free baseline per application, then every (case, failure
+  // point) crash run.
+  std::vector<std::string> apps;
+  for (const auto& c : cases()) {
+    if (std::find(apps.begin(), apps.end(), c.app) == apps.end()) apps.push_back(c.app);
+  }
+  const auto baselines = parallel_map<ExperimentResult>(apps.size(), [&](std::size_t i) {
+    return chk::harness::run_normal(row_config(chk::harness::find_row(apps[i])));
+  });
+  std::map<std::string, ExperimentResult> normals;
+  for (std::size_t i = 0; i < apps.size(); ++i) normals.emplace(apps[i], baselines[i]);
+  const std::size_t fracs = fail_fractions().size();
+  const auto results = parallel_map<ExperimentResult>(
+      cases().size() * fracs, [&](std::size_t i) {
+        const Case& c = cases()[i / fracs];
+        return chk::harness::run_experiment(
+            crash_config(c, fail_fractions()[i % fracs], normals.at(c.app)));
+      });
+  print_table(results);
+  int rc = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const Case& c = cases()[i / fracs];
+    if (results[i].digest != normals.at(c.app).digest) {
+      std::fprintf(stderr, "recovery_rollback: %s/%s failing at %.2f: recovered digest mismatch\n",
+                   c.app, c.name().c_str(), fail_fractions()[i % fracs]);
+      rc = 1;
+    }
+  }
+  return rc;
 }

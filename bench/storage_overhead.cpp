@@ -7,8 +7,8 @@
 // We run SOR (tightly coupled: the strict recovery line cannot advance, so
 // GC reclaims nothing) and NQUEENS (loosely coupled: GC can reclaim) with
 // 6 checkpoints and compare peak/final stable-storage footprints.
-#include <benchmark/benchmark.h>
-
+//
+//   ./storage_overhead        (no flags)
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -33,64 +33,20 @@ const std::vector<Variant>& variants() {
   return all;
 }
 
-ExperimentConfig cell_config(const BenchRow& row, const Variant& variant,
-                             double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = variant.scheme;
-  config.checkpoints = 6;
-  config.interval = des::Duration::seconds(normal_exec_s / 7.0);
-  config.gc = variant.gc;
-  config.gc_mode = variant.gc_mode;
-  return config;
-}
-
-std::string key_of(const std::string& label, const Variant& variant) {
-  return util::format("{}/{}", label, variant.name);
-}
-
-void register_benchmarks() {
-  for (const char* label : {"SOR-768", "NQUEENS-14"}) {
-    const BenchRow row = harness::find_row(label);
-    for (const auto& variant : variants()) {
-      benchmark::RegisterBenchmark(
-          util::format("Storage/{}/{}", row.label, variant.name).c_str(),
-          [row, variant](benchmark::State& state) {
-            auto& cache = ResultCache::instance();
-            const auto& normal = cache.normal(row);
-            for (auto _ : state) {
-              const auto& result = cache.run(key_of(row.label, variant),
-                                             cell_config(row, variant, normal.exec_time_s));
-              state.counters["peak_MiB"] =
-                  static_cast<double>(result.peak_storage_bytes) / (1 << 20);
-              state.counters["final_ckpts"] =
-                  static_cast<double>(result.final_stored_checkpoints);
-              state.counters["gc_reclaimed"] = static_cast<double>(result.gc_reclaimed);
-            }
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
-  for (const char* label : {"SOR-768", "NQUEENS-14"}) {
+void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
     util::Table table({"variant", "peak storage", "final storage", "ckpts kept",
                        "GC reclaimed"});
-    for (const auto& variant : variants()) {
-      const auto result = cache.lookup(key_of(label, variant));
-      if (!result) continue;
-      table.add_row({variant.name,
-                     util::Table::bytes(static_cast<double>(result->peak_storage_bytes)),
-                     util::Table::bytes(static_cast<double>(result->final_storage_bytes)),
-                     util::Table::integer(static_cast<long long>(result->final_stored_checkpoints)),
-                     util::Table::integer(static_cast<long long>(result->gc_reclaimed))});
+    for (std::size_t v = 0; v < variants().size(); ++v) {
+      const ExperimentResult& result = grid.cell(r, v);
+      table.add_row({variants()[v].name,
+                     util::Table::bytes(static_cast<double>(result.peak_storage_bytes)),
+                     util::Table::bytes(static_cast<double>(result.final_storage_bytes)),
+                     util::Table::integer(static_cast<long long>(result.final_stored_checkpoints)),
+                     util::Table::integer(static_cast<long long>(result.gc_reclaimed))});
     }
     std::fputs(table.render(util::format("Stable-storage footprint — {} (6 checkpoints, 8 nodes)",
-                                         label))
+                                         rows[r].label))
                    .c_str(),
                stdout);
     std::puts("");
@@ -105,10 +61,21 @@ void print_table() {
 }  // namespace chk::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
+  using namespace chk::bench;
+  if (const int rc = parse_flags("storage_overhead", argc, argv)) return rc;
+  const std::vector<BenchRow> rows{chk::harness::find_row("SOR-768"),
+                                   chk::harness::find_row("NQUEENS-14")};
+  const Grid grid = run_grid(
+      row_configs(rows), variants().size(),
+      [&](std::size_t r, std::size_t v, const ExperimentResult& normal) {
+        ExperimentConfig config = row_config(rows[r]);
+        config.scheme = variants()[v].scheme;
+        config.checkpoints = 6;
+        config.interval = chk::des::Duration::seconds(normal.exec_time_s / 7.0);
+        config.gc = variants()[v].gc;
+        config.gc_mode = variants()[v].gc_mode;
+        return config;
+      });
+  print_table(rows, grid);
   return 0;
 }

@@ -30,57 +30,84 @@
 // Output is byte-identical across repeats with the same seed.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <future>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
+#include "bench_common.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "svc/kvstore.hpp"
-#include "util/cli.hpp"
-#include "util/format.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace chk;
 
-std::vector<double> parse_list(const std::string& flag, const std::string& csv,
-                               double min, double max) {
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) {
-      const std::string tok = csv.substr(start, end - start);
-      char* tail = nullptr;
-      const double v = std::strtod(tok.c_str(), &tail);
-      if (tail != tok.c_str() + tok.size() || v != v) {
-        throw std::invalid_argument(flag + ": expected a number, got \"" + tok + "\"");
-      }
-      if (v < min || v > max) {
-        throw std::invalid_argument(flag + ": value out of range: " + tok);
-      }
-      out.push_back(v);
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (out.empty()) throw std::invalid_argument(flag + ": empty list");
-  return out;
-}
+using bench::paper_schemes;
 
-const std::vector<harness::Scheme>& sweep_schemes() {
-  static const std::vector<harness::Scheme> schemes{
-      harness::Scheme::kCoordNB, harness::Scheme::kIndep, harness::Scheme::kCoordNBM,
-      harness::Scheme::kIndepM, harness::Scheme::kCoordNBMS};
-  return schemes;
+struct Options {
+  std::vector<double> rates;
+  std::vector<double> mtbfs;
+  std::optional<chklib::membership::MembershipConfig> membership;
+  std::size_t nodes = 0;
+  double horizon = 0;
+  double interval = 0;
+  std::uint32_t max_failures = 0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+};
+
+Options read_options(const util::Cli& cli) {
+  const bool quick = cli.get_bool("quick", false);
+  Options o;
+  o.rates = cli.get_doubles("rates", quick ? "300" : "200,400", 1.0, 1e6);
+  o.mtbfs = cli.get_doubles("mtbfs", "0,1.5", 0.0, 1e9);
+  o.nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
+  o.horizon = cli.get_double("horizon", 4.0);
+  o.interval = cli.get_double("interval", 0.8);
+  o.max_failures = static_cast<std::uint32_t>(cli.get_int("max-failures", 2, 0));
+  o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  o.json_out = cli.get("json-out", "BENCH_svc.json");
+  if (o.nodes < 1 || o.nodes > 64 || o.horizon <= 0 || o.interval <= 0) {
+    throw std::invalid_argument("--nodes in [1,64], --horizon/--interval > 0");
+  }
+  if (!cli.get_bool("membership", false)) {
+    for (const char* flag :
+         {"detector", "detect-timeout", "hb-period", "phi-threshold", "phi-window"}) {
+      if (cli.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " needs --membership (there is no detector "
+                                    "to configure without it)");
+      }
+    }
+    return o;
+  }
+  chklib::membership::MembershipConfig m;
+  m.detector = chklib::membership::parse_detector(cli.get("detector", "binary"));
+  if (m.detector != chklib::membership::Detector::kPhiAccrual) {
+    for (const char* flag : {"phi-threshold", "phi-window"}) {
+      if (cli.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " needs --detector=phi (the binary "
+                                    "detector has no phi knobs)");
+      }
+    }
+  } else {
+    const double threshold = cli.get_nonneg_double("phi-threshold", 8.0);
+    if (threshold <= 0) throw std::invalid_argument("--phi-threshold must be positive");
+    m.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
+    m.accrual.window = static_cast<std::uint32_t>(cli.get_int("phi-window", 32, 1));
+  }
+  // Aggressive by default: the svc horizon is seconds, so detection at
+  // the lax 2 s default would dominate every faulty cell's tail. The
+  // links are clean here — storms need loss — so 0.6 s is safe.
+  m.detect_timeout = des::Duration::seconds(cli.get_nonneg_double("detect-timeout", 0.6));
+  m.hb_period = des::Duration::seconds(cli.get_nonneg_double("hb-period", 0.25));
+  m.validate(o.nodes);
+  o.membership = m;
+  return o;
 }
 
 /// One cell of the sweep: the experiment outcome plus the merged workload
@@ -104,75 +131,17 @@ obs::HistogramSnapshot latency_snapshot(const svc::SvcMetrics& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const bool quick = cli.get_bool("quick", false);
-
-  std::vector<double> rates;
-  std::vector<double> mtbfs;
-  std::optional<chklib::membership::MembershipConfig> membership;
-  try {
-    rates = parse_list("--rates", cli.get("rates", quick ? "300" : "200,400"), 1.0, 1e6);
-    mtbfs = parse_list("--mtbfs", cli.get("mtbfs", "0,1.5"), 0.0, 1e9);
-    const bool membership_on = cli.get_bool("membership", false);
-    if (!membership_on) {
-      for (const char* flag :
-           {"detector", "detect-timeout", "hb-period", "phi-threshold", "phi-window"}) {
-        if (cli.has(flag)) {
-          throw std::invalid_argument(std::string("--") + flag +
-                                      " needs --membership (there is no detector "
-                                      "to configure without it)");
-        }
-      }
-    } else {
-      chklib::membership::MembershipConfig m;
-      m.detector = chklib::membership::parse_detector(cli.get("detector", "binary"));
-      if (m.detector != chklib::membership::Detector::kPhiAccrual) {
-        for (const char* flag : {"phi-threshold", "phi-window"}) {
-          if (cli.has(flag)) {
-            throw std::invalid_argument(std::string("--") + flag +
-                                        " needs --detector=phi (the binary "
-                                        "detector has no phi knobs)");
-          }
-        }
-      } else {
-        const double threshold = cli.get_nonneg_double("phi-threshold", 8.0);
-        if (threshold <= 0) throw std::invalid_argument("--phi-threshold must be positive");
-        const long window = cli.get_int("phi-window", 32);
-        if (window <= 0) throw std::invalid_argument("--phi-window must be positive");
-        m.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
-        m.accrual.window = static_cast<std::uint32_t>(window);
-      }
-      // Aggressive by default: the svc horizon is seconds, so detection at
-      // the lax 2 s default would dominate every faulty cell's tail. The
-      // links are clean here — storms need loss — so 0.6 s is safe.
-      m.detect_timeout = des::Duration::seconds(cli.get_nonneg_double("detect-timeout", 0.6));
-      m.hb_period = des::Duration::seconds(cli.get_nonneg_double("hb-period", 0.25));
-      membership = m;
-    }
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "svc_latency: %s\n", err.what());
-    return 2;
+  Options opt;
+  if (const int rc = bench::parse_flags("svc_latency", argc, argv,
+                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+    return rc;
   }
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  const double horizon = cli.get_double("horizon", 4.0);
-  const double interval = cli.get_double("interval", 0.8);
-  const auto max_failures = static_cast<std::uint32_t>(cli.get_int("max-failures", 2));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  if (nodes < 1 || nodes > 64 || horizon <= 0 || interval <= 0) {
-    std::fprintf(stderr, "svc_latency: --nodes in [1,64], --horizon/--interval > 0\n");
-    return 2;
-  }
-  if (membership.has_value()) {
-    try {
-      membership->validate(nodes);
-    } catch (const std::invalid_argument& err) {
-      std::fprintf(stderr, "svc_latency: %s\n", err.what());
-      return 2;
-    }
-  }
+  const std::vector<double>& rates = opt.rates;
+  const std::vector<double>& mtbfs = opt.mtbfs;
+  const auto& membership = opt.membership;
 
   svc::SvcParams base_params;
-  base_params.horizon_s = horizon;
+  base_params.horizon_s = opt.horizon;
 
   // Every cell must land on this digest: the shard contents are a pure
   // function of the generated request set (LWW), so scheme and fault
@@ -182,46 +151,40 @@ int main(int argc, char** argv) {
   for (const double rate : rates) {
     svc::SvcParams p = base_params;
     p.arrival_hz = rate;
-    references.push_back(svc::svc_reference_digest(p, nodes, seed));
+    references.push_back(svc::svc_reference_digest(p, opt.nodes, opt.seed));
   }
 
-  const std::size_t columns = sweep_schemes().size();
-  std::vector<Cell> cells(rates.size() * mtbfs.size() * columns);
-  {
-    std::vector<std::future<Cell>> pending;
-    pending.reserve(cells.size());
-    for (const double rate : rates) {
-      for (const double mtbf : mtbfs) {
-        for (const harness::Scheme scheme : sweep_schemes()) {
-          svc::SvcParams params = base_params;
-          params.arrival_hz = rate;
-          params.sink = std::make_shared<svc::SvcMetrics>();
-          harness::ExperimentConfig config;
-          config.label = util::format("svc-{}hz", rate);
-          config.app = svc::make_svc(params);
-          config.scheme = scheme;
-          config.interval = des::Duration::seconds(interval);
-          config.checkpoints = 0;  // keep checkpointing until the service drains
-          config.seed = seed;
-          config.membership = membership;
-          if (mtbf > 0) {
-            faultsim::FaultPlan crashes;
-            crashes.mtbf = des::Duration::seconds(mtbf);
-            crashes.max_failures = max_failures;
-            crashes.stream = 1;
-            config.faults = crashes;
-          }
-          pending.push_back(std::async(std::launch::async, [config, params] {
-            Cell cell;
-            cell.result = harness::run_experiment(config);
-            cell.metrics = *params.sink;
-            return cell;
-          }));
+  const std::size_t columns = paper_schemes().size();
+  auto run_cell = [](const harness::ExperimentConfig& config, const svc::SvcParams& params) {
+    Cell cell;
+    cell.result = harness::run_experiment(config);
+    cell.metrics = *params.sink;
+    return cell;
+  };
+  const auto cells = bench::parallel_map<Cell>(
+      rates.size() * mtbfs.size() * columns, [&](std::size_t i) {
+        const double mtbf = mtbfs[i / columns % mtbfs.size()];
+        svc::SvcParams params = base_params;
+        params.arrival_hz = rates[i / (columns * mtbfs.size())];
+        params.sink = std::make_shared<svc::SvcMetrics>();
+        harness::ExperimentConfig config;
+        config.label = util::format("svc-{}hz", params.arrival_hz);
+        config.app = svc::make_svc(params);
+        config.scheme = paper_schemes()[i % columns];
+        config.interval = des::Duration::seconds(opt.interval);
+        config.checkpoints = 0;  // keep checkpointing until the service drains
+        config.seed = opt.seed;
+        config.machine.num_nodes = opt.nodes;
+        config.membership = membership;
+        if (mtbf > 0) {
+          faultsim::FaultPlan crashes;
+          crashes.mtbf = des::Duration::seconds(mtbf);
+          crashes.max_failures = opt.max_failures;
+          crashes.stream = 1;
+          config.faults = crashes;
         }
-      }
-    }
-    for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = pending[i].get();
-  }
+        return run_cell(config, params);
+      });
 
   // Coordinator kill under traffic (--membership only): rank 0 — the
   // elected coordinator of the initial view — dies at mid-horizon while
@@ -229,35 +192,25 @@ int main(int argc, char** argv) {
   // cluster must *detect* the death (one view change), and the
   // kMembershipWait episode must keep the per-rank blocked-time partition
   // exact, so these runs carry the obs tracer.
-  std::vector<Cell> kill_cells;
-  if (membership.has_value()) {
-    kill_cells.resize(columns);
-    std::vector<std::future<Cell>> pending;
-    pending.reserve(columns);
-    for (const harness::Scheme scheme : sweep_schemes()) {
-      svc::SvcParams params = base_params;
-      params.arrival_hz = rates.front();
-      params.sink = std::make_shared<svc::SvcMetrics>();
-      harness::ExperimentConfig config;
-      config.label = util::format("svc-kill-{}hz", rates.front());
-      config.app = svc::make_svc(params);
-      config.scheme = scheme;
-      config.interval = des::Duration::seconds(interval);
-      config.checkpoints = 0;
-      config.seed = seed;
-      config.membership = membership;
-      config.observe = true;
-      config.failure = harness::FailureSpec{
-          des::TimePoint::origin() + des::Duration::seconds(horizon * 0.5), 0};
-      pending.push_back(std::async(std::launch::async, [config, params] {
-        Cell cell;
-        cell.result = harness::run_experiment(config);
-        cell.metrics = *params.sink;
-        return cell;
-      }));
-    }
-    for (std::size_t i = 0; i < columns; ++i) kill_cells[i] = pending[i].get();
-  }
+  const auto kill_cells = bench::parallel_map<Cell>(
+      membership.has_value() ? columns : 0, [&](std::size_t s) {
+        svc::SvcParams params = base_params;
+        params.arrival_hz = rates.front();
+        params.sink = std::make_shared<svc::SvcMetrics>();
+        harness::ExperimentConfig config;
+        config.label = util::format("svc-kill-{}hz", rates.front());
+        config.app = svc::make_svc(params);
+        config.scheme = paper_schemes()[s];
+        config.interval = des::Duration::seconds(opt.interval);
+        config.checkpoints = 0;
+        config.seed = opt.seed;
+        config.machine.num_nodes = opt.nodes;
+        config.membership = membership;
+        config.observe = true;
+        config.failure = harness::FailureSpec{
+            des::TimePoint::origin() + des::Duration::seconds(opt.horizon * 0.5), 0};
+        return run_cell(config, params);
+      });
   // Exactness of the attribution partition: every rank's bucket sum must
   // equal its total (the obs_test tolerance).
   auto partition_exact = [](const Cell& cell) {
@@ -291,7 +244,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> header{"rate", "mtbf"};
-  for (const harness::Scheme scheme : sweep_schemes()) header.emplace_back(to_string(scheme));
+  for (const harness::Scheme scheme : paper_schemes()) header.emplace_back(to_string(scheme));
   util::Table table(header);
   std::size_t index = 0;
   for (std::size_t r = 0; r < rates.size(); ++r) {
@@ -321,8 +274,8 @@ int main(int argc, char** argv) {
               "Poisson arrivals per rank, horizon {} s, checkpoint interval "
               "{} s, crash MTBF per row (0 = fault-free, <= {} failures); "
               "digests + invariants + open-loop conservation verified: {})",
-              nodes, util::Table::fixed(horizon, 1), util::Table::fixed(interval, 1),
-              max_failures, all_ok ? "yes" : "NO"))
+              opt.nodes, util::Table::fixed(opt.horizon, 1), util::Table::fixed(opt.interval, 1),
+              opt.max_failures, all_ok ? "yes" : "NO"))
           .c_str(),
       stdout);
 
@@ -358,7 +311,7 @@ int main(int argc, char** argv) {
                 "change), tail latency absorbs detection + recovery, and the "
                 "membership_wait bucket keeps the per-rank blocked-time "
                 "partition exact",
-                util::Table::fixed(horizon * 0.5, 1), util::Table::fixed(rates.front(), 0),
+                util::Table::fixed(opt.horizon * 0.5, 1), util::Table::fixed(rates.front(), 0),
                 chklib::membership::to_string(membership->detector)))
             .c_str(),
         stdout);
@@ -367,11 +320,11 @@ int main(int argc, char** argv) {
   using obs::json::Value;
   Value doc = Value::object();
   doc.set("table", Value::string("svc_latency"));
-  doc.set("nodes", Value::number(std::uint64_t{nodes}));
-  doc.set("seed", Value::number(seed));
-  doc.set("horizon_s", Value::number(horizon));
-  doc.set("interval_s", Value::number(interval));
-  doc.set("max_failures", Value::number(std::uint64_t{max_failures}));
+  doc.set("nodes", Value::number(std::uint64_t{opt.nodes}));
+  doc.set("seed", Value::number(opt.seed));
+  doc.set("horizon_s", Value::number(opt.horizon));
+  doc.set("interval_s", Value::number(opt.interval));
+  doc.set("max_failures", Value::number(std::uint64_t{opt.max_failures}));
   doc.set("membership", Value::boolean(membership.has_value()));
   doc.set("detector",
           Value::string(membership.has_value()
@@ -501,8 +454,7 @@ int main(int argc, char** argv) {
     }
     doc.set("coordinator_kill", std::move(kill_array));
   }
-  const std::string path = cli.get("json-out", "BENCH_svc.json");
-  obs::write_text_file(path, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", path.c_str());
+  obs::write_text_file(opt.json_out, doc.dump() + "\n");
+  std::printf("\nWrote %s\n", opt.json_out.c_str());
   return all_ok ? 0 : 1;
 }

@@ -5,8 +5,8 @@
 // with a per-application interval (the paper used 1-7 minutes; here the
 // interval is a quarter of the failure-free execution time so three
 // checkpoints always fit, and is printed alongside, as in the paper).
-#include <benchmark/benchmark.h>
-
+//
+//   ./table2_execution_times        (no flags; writes BENCH_table2.json)
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -14,73 +14,16 @@
 namespace chk::bench {
 namespace {
 
-ExperimentConfig cell_config(const BenchRow& row, Scheme scheme, double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = scheme;
-  config.checkpoints = 3;
-  config.interval = des::Duration::seconds(normal_exec_s / 4.0);
-  return config;
-}
-
-void run_cell(benchmark::State& state, const BenchRow& row, Scheme scheme) {
-  auto& cache = ResultCache::instance();
-  const auto& normal = cache.normal(row);
-  for (auto _ : state) {
-    const auto& result =
-        cache.run(cell_key(row.label, scheme), cell_config(row, scheme, normal.exec_time_s));
-    set_common_counters(state, result, normal);
-  }
-}
-
-// Warm the cache in parallel: every (row, scheme) simulation is
-// independent. The benchmark pass then reports the cached cells.
-void prefetch() {
-  prefetch_table(harness::table23_rows(), table23_schemes(),
-                 [](const BenchRow& row, Scheme scheme, const ExperimentResult& normal) {
-                   return cell_config(row, scheme, normal.exec_time_s);
-                 });
-}
-
-void register_benchmarks() {
-  for (const auto& row : harness::table23_rows()) {
-    benchmark::RegisterBenchmark(
-        util::format("Table2/{}/NORMAL", row.label).c_str(),
-        [row](benchmark::State& state) {
-          for (auto _ : state) {
-            const auto& normal = ResultCache::instance().normal(row);
-            state.counters["sim_exec_s"] = normal.exec_time_s;
-          }
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-    for (Scheme scheme : table23_schemes()) {
-      benchmark::RegisterBenchmark(
-          util::format("Table2/{}/{}", row.label, to_string(scheme)).c_str(),
-          [row, scheme](benchmark::State& state) { run_cell(state, row, scheme); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
+void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
   util::Table table({"", "Interval (s)", "NORMAL", "COORD NB", "INDEP", "COORD NBMS",
                      "INDEP M"});
-  for (const auto& row : harness::table23_rows()) {
-    const auto normal = cache.lookup(cell_key(row.label, Scheme::kNone));
-    std::vector<std::string> cells{row.label};
-    if (normal) {
-      cells.push_back(util::Table::fixed(normal->exec_time_s / 4.0, 0));
-      cells.push_back(util::Table::fixed(normal->exec_time_s, 1));
-    } else {
-      cells.insert(cells.end(), {"-", "-"});
-    }
-    for (Scheme scheme : table23_schemes()) {
-      const auto result = cache.lookup(cell_key(row.label, scheme));
-      cells.push_back(result ? util::Table::fixed(result->exec_time_s, 1) : "-");
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const ExperimentResult& normal = grid.normals[r];
+    std::vector<std::string> cells{rows[r].label};
+    cells.push_back(util::Table::fixed(normal.exec_time_s / 4.0, 0));
+    cells.push_back(util::Table::fixed(normal.exec_time_s, 1));
+    for (std::size_t s = 0; s < grid.columns; ++s) {
+      cells.push_back(util::Table::fixed(grid.cell(r, s).exec_time_s, 1));
     }
     table.add_row(std::move(cells));
   }
@@ -94,16 +37,19 @@ void print_table() {
 }  // namespace chk::bench
 
 int main(int argc, char** argv) {
-  const bool warm = chk::bench::prefetch_enabled(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  if (warm) chk::bench::prefetch();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  chk::bench::write_bench_json(
-      "BENCH_table2.json",
-      chk::bench::table_json("table2_execution_times", chk::harness::table23_rows(),
-                             chk::bench::table23_schemes()));
+  using namespace chk::bench;
+  if (const int rc = parse_flags("table2_execution_times", argc, argv)) return rc;
+  const std::vector<BenchRow> rows = chk::harness::table23_rows();
+  const Grid grid = run_grid(
+      row_configs(rows), table23_schemes().size(),
+      [&](std::size_t r, std::size_t s, const ExperimentResult& normal) {
+        ExperimentConfig config = row_config(rows[r]);
+        config.scheme = table23_schemes()[s];
+        config.checkpoints = 3;
+        config.interval = chk::des::Duration::seconds(normal.exec_time_s / 4.0);
+        return config;
+      });
+  print_table(rows, grid);
+  write_bench_json("BENCH_table2.json", table_json("table2_execution_times", rows, grid));
   return 0;
 }

@@ -2,8 +2,9 @@
 // schemes, same runs as Table 2, plus the paper's headline metric — the
 // overhead reduction factor of Coord_NBMS relative to Coord_NB (the paper
 // observed factors of 4 up to 17).
-#include <benchmark/benchmark.h>
-
+//
+//   ./table3_overhead_percent        (no flags; writes BENCH_table3.json)
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -11,64 +12,18 @@
 namespace chk::bench {
 namespace {
 
-ExperimentConfig cell_config(const BenchRow& row, Scheme scheme, double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = scheme;
-  config.checkpoints = 3;
-  config.interval = des::Duration::seconds(normal_exec_s / 4.0);
-  return config;
-}
-
-void run_cell(benchmark::State& state, const BenchRow& row, Scheme scheme) {
-  auto& cache = ResultCache::instance();
-  const auto& normal = cache.normal(row);
-  for (auto _ : state) {
-    const auto& result =
-        cache.run(cell_key(row.label, scheme), cell_config(row, scheme, normal.exec_time_s));
-    set_common_counters(state, result, normal);
-  }
-}
-
-// Warm the cache in parallel: every (row, scheme) simulation is
-// independent. The benchmark pass then reports the cached cells.
-void prefetch() {
-  prefetch_table(harness::table23_rows(), table23_schemes(),
-                 [](const BenchRow& row, Scheme scheme, const ExperimentResult& normal) {
-                   return cell_config(row, scheme, normal.exec_time_s);
-                 });
-}
-
-void register_benchmarks() {
-  for (const auto& row : harness::table23_rows()) {
-    for (Scheme scheme : table23_schemes()) {
-      benchmark::RegisterBenchmark(
-          util::format("Table3/{}/{}", row.label, to_string(scheme)).c_str(),
-          [row, scheme](benchmark::State& state) { run_cell(state, row, scheme); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
+void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
   util::Table table({"", "Interval (s)", "COORD NB", "INDEP", "COORD NBMS", "INDEP M",
                      "NBMS gain vs NB"});
   double min_factor = 1e300, max_factor = 0;
-  for (const auto& row : harness::table23_rows()) {
-    const auto normal = cache.lookup(cell_key(row.label, Scheme::kNone));
-    std::vector<std::string> cells{row.label};
-    cells.push_back(normal ? util::Table::fixed(normal->exec_time_s / 4.0, 0) : "-");
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const ExperimentResult& normal = grid.normals[r];
+    std::vector<std::string> cells{rows[r].label};
+    cells.push_back(util::Table::fixed(normal.exec_time_s / 4.0, 0));
     double nb_overhead = -1, nbms_overhead = -1;
-    for (Scheme scheme : table23_schemes()) {
-      const auto result = cache.lookup(cell_key(row.label, scheme));
-      if (!result || !normal) {
-        cells.push_back("-");
-        continue;
-      }
-      const double overhead = result->exec_time_s / normal->exec_time_s - 1.0;
+    for (std::size_t s = 0; s < grid.columns; ++s) {
+      const Scheme scheme = table23_schemes()[s];
+      const double overhead = grid.cell(r, s).exec_time_s / normal.exec_time_s - 1.0;
       cells.push_back(util::Table::percent(overhead, 2));
       if (scheme == Scheme::kCoordNB) nb_overhead = overhead;
       if (scheme == Scheme::kCoordNBMS) nbms_overhead = overhead;
@@ -102,16 +57,19 @@ void print_table() {
 }  // namespace chk::bench
 
 int main(int argc, char** argv) {
-  const bool warm = chk::bench::prefetch_enabled(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  if (warm) chk::bench::prefetch();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  chk::bench::write_bench_json(
-      "BENCH_table3.json",
-      chk::bench::table_json("table3_overhead_percent", chk::harness::table23_rows(),
-                             chk::bench::table23_schemes()));
+  using namespace chk::bench;
+  if (const int rc = parse_flags("table3_overhead_percent", argc, argv)) return rc;
+  const std::vector<BenchRow> rows = chk::harness::table23_rows();
+  const Grid grid = run_grid(
+      row_configs(rows), table23_schemes().size(),
+      [&](std::size_t r, std::size_t s, const ExperimentResult& normal) {
+        ExperimentConfig config = row_config(rows[r]);
+        config.scheme = table23_schemes()[s];
+        config.checkpoints = 3;
+        config.interval = chk::des::Duration::seconds(normal.exec_time_s / 4.0);
+        return config;
+      });
+  print_table(rows, grid);
+  write_bench_json("BENCH_table3.json", table_json("table3_overhead_percent", rows, grid));
   return 0;
 }

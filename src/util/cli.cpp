@@ -1,54 +1,47 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
 
+#include "util/format.hpp"
+
 namespace chk::util {
 
 Cli::Cli(int argc, char** argv) {
-  if (argc > 0) program_ = argv[0];
-  bool passthrough = false;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
-    if (passthrough) { positional_.emplace_back(arg); continue; }
-    if (arg == "--") { passthrough = true; continue; }
-    if (arg.starts_with("--")) {
-      // Unambiguous grammar: --key=value assigns, --no-key clears, bare
-      // --key is boolean true. (A "--key value" form would make "value"
-      // indistinguishable from a positional argument.)
-      std::string_view body = arg.substr(2);
-      const auto eq = body.find('=');
-      if (eq != std::string_view::npos) {
-        values_[std::string(body.substr(0, eq))] = std::string(body.substr(eq + 1));
-      } else if (body.starts_with("no-")) {
-        values_[std::string(body.substr(3))] = "false";
-      } else {
-        values_[std::string(body)] = "true";
-      }
+    if (!arg.starts_with("--")) {
+      if (stray_.empty()) stray_ = arg;
+      continue;
+    }
+    // Unambiguous grammar: --key=value assigns, --no-key clears, bare
+    // --key is boolean true. (A "--key value" form would make "value"
+    // indistinguishable from a positional argument.)
+    std::string_view body = arg.substr(2);
+    const auto eq = body.find('=');
+    if (eq != std::string_view::npos) {
+      values_[std::string(body.substr(0, eq))] = std::string(body.substr(eq + 1));
+    } else if (body.starts_with("no-")) {
+      values_[std::string(body.substr(3))] = "false";
     } else {
-      positional_.emplace_back(arg);
+      values_[std::string(body)] = "true";
     }
   }
 }
 
-bool Cli::has(const std::string& key) const { return values_.contains(key); }
+const std::string* Cli::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool Cli::has(const std::string& key) const { return find(key) != nullptr; }
 
 std::string Cli::get(const std::string& key, const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
-std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-double Cli::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 namespace {
@@ -64,33 +57,99 @@ double parse_strict(const std::string& key, const std::string& text) {
   return v;
 }
 
+/// Comma-separated tokens with empty ones dropped ("a,,b," -> {a, b}).
+std::vector<std::string> split_csv(const std::string& key, const std::string& csv) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= csv.size()) {
+    const std::size_t comma = csv.find(',', start);
+    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
+    if (end > start) out.push_back(csv.substr(start, end - start));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  if (out.empty()) throw std::invalid_argument("--" + key + ": empty list");
+  return out;
+}
+
 }  // namespace
 
+std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback,
+                          std::int64_t min) const {
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  const char* begin = value->c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + key + ": expected an integer, got \"" + *value +
+                                "\"");
+  }
+  if (v < min) {
+    throw std::invalid_argument(format("--{}: value must be >= {}, got {}", key, min, v));
+  }
+  return v;
+}
+
+double Cli::get_double(const std::string& key, double fallback) const {
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : parse_strict(key, *value);
+}
+
 double Cli::get_prob(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const double v = parse_strict(key, it->second);
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  const double v = parse_strict(key, *value);
   if (v < 0.0 || v > 1.0) {
     throw std::invalid_argument("--" + key + ": probability must be in [0, 1], got " +
-                                it->second);
+                                *value);
   }
   return v;
 }
 
 double Cli::get_nonneg_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const double v = parse_strict(key, it->second);
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  const double v = parse_strict(key, *value);
   if (v < 0.0) {
-    throw std::invalid_argument("--" + key + ": value must be >= 0, got " + it->second);
+    throw std::invalid_argument("--" + key + ": value must be >= 0, got " + *value);
   }
   return v;
 }
 
+std::vector<double> Cli::get_doubles(const std::string& key, const std::string& fallback,
+                                     double lo, double hi) const {
+  std::vector<double> out;
+  for (const std::string& token : get_list(key, fallback)) {
+    const double v = parse_strict(key, token);
+    if (v < lo || v >= hi) {
+      throw std::invalid_argument(
+          format("--{}: values must be in [{:g}, {:g}), got {}", key, lo, hi, token));
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+std::vector<std::string> Cli::get_list(const std::string& key,
+                                       const std::string& fallback) const {
+  return split_csv(key, get(key, fallback));
+}
+
 bool Cli::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second != "false" && it->second != "0" && it->second != "no";
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  return *value != "false" && *value != "0" && *value != "no";
+}
+
+void Cli::reject_unread() const {
+  for (const auto& [key, value] : values_) {
+    if (!read_.contains(key)) throw std::invalid_argument("unknown flag --" + key);
+  }
+  if (!stray_.empty()) {
+    throw std::invalid_argument("unexpected argument '" + stray_ + "'");
+  }
 }
 
 bool verify_requested(const Cli& cli) {

@@ -1,10 +1,13 @@
 // Tiny command-line flag parser used by examples and bench binaries.
-// Supports --name=value, --name value and boolean --flag forms; unknown
-// flags are preserved so google-benchmark flags can pass through.
+// Supports --name=value, --no-name and boolean --flag forms. Every getter
+// records the flag as read, so a driver can reject the flags it never read
+// (typos) and stray positional tokens with reject_unread().
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,13 +15,19 @@ namespace chk::util {
 
 class Cli {
  public:
-  /// Parses argv, consuming recognized "--key[=value]" tokens. Tokens after
-  /// "--" and unrecognized tokens are kept in remaining().
+  /// Parses argv into "--key[=value]" flags; the first token that is not a
+  /// flag is kept for reject_unread() to report.
   Cli(int argc, char** argv);
 
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// Strict integer flag: the whole value must parse as an integer >= min.
+  /// Throws std::invalid_argument naming the flag otherwise.
+  [[nodiscard]] std::int64_t get_int(
+      const std::string& key, std::int64_t fallback,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min()) const;
+  /// Strict number flag: the whole value must parse as a number. Throws
+  /// std::invalid_argument naming the flag otherwise.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
   /// Strict probability flag: the whole value must parse as a number in
@@ -27,19 +36,33 @@ class Cli {
   /// Strict non-negative flag: the whole value must parse as a number >= 0.
   /// Throws std::invalid_argument naming the flag otherwise.
   [[nodiscard]] double get_nonneg_double(const std::string& key, double fallback) const;
+  /// Strict comma-separated number list ("0.05,0.2"): non-empty, and every
+  /// token must parse in full to a value in [lo, hi). Throws
+  /// std::invalid_argument naming the flag otherwise.
+  [[nodiscard]] std::vector<double> get_doubles(const std::string& key,
+                                                const std::string& fallback, double lo,
+                                                double hi) const;
+  /// Comma-separated list of names ("SOR-384,NQUEENS-14"), empty tokens
+  /// dropped. Throws std::invalid_argument naming the flag if none is left.
+  [[nodiscard]] std::vector<std::string> get_list(const std::string& key,
+                                                  const std::string& fallback) const;
 
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept { return positional_; }
-  [[nodiscard]] const std::string& program() const noexcept { return program_; }
+  /// Throws std::invalid_argument naming the first flag no getter has read,
+  /// or the first positional token.
+  void reject_unread() const;
 
  private:
-  std::string program_;
+  /// The flag's raw value, or nullptr when absent; marks the flag read.
+  const std::string* find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
+  std::string stray_;
+  mutable std::set<std::string> read_;
 };
 
-/// Shared "--verify" / "--no-verify" convention for example and bench
-/// binaries: run with the protocol invariant monitor installed. The default
-/// follows the build: on under CHK_INVARIANTS, off otherwise.
+/// Shared "--verify" / "--no-verify" convention for the example binaries:
+/// run with the protocol invariant monitor installed. The default follows
+/// the build: on under CHK_INVARIANTS, off otherwise.
 [[nodiscard]] bool verify_requested(const Cli& cli);
 
 }  // namespace chk::util

@@ -151,14 +151,74 @@ TEST(Table, NumericFormatters) {
 }
 
 TEST(Cli, ParsesForms) {
-  const char* argv[] = {"prog", "--alpha=3", "--beta=4.5", "--flag", "pos", "--no-gamma"};
-  Cli cli(6, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--alpha=3", "--beta=4.5", "--flag", "--no-gamma"};
+  Cli cli(5, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(cli.get_double("beta", 0), 4.5);
   EXPECT_TRUE(cli.get_bool("flag", false));
   EXPECT_FALSE(cli.get_bool("gamma", true));
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "pos");
+  EXPECT_NO_THROW(cli.reject_unread());
+}
+
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <class Fn>
+std::string error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& err) {
+    return err.what();
+  }
+  return "";
+}
+
+TEST(Cli, StrictIntegersAndNumbersRejectTrailingGarbage) {
+  const char* argv[] = {"prog", "--nodes=8x", "--runs=-1", "--big=99999999999999999999",
+                        "--empty=",  "--rate=0.5x", "--ok=-3"};
+  Cli cli(7, const_cast<char**>(argv));
+  EXPECT_NE(error_of([&] { (void)cli.get_int("nodes", 8); }).find("--nodes"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { (void)cli.get_int("runs", 4, 1); }).find("--runs"),
+            std::string::npos);
+  EXPECT_THROW((void)cli.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("empty", 0), std::invalid_argument);
+  EXPECT_NE(error_of([&] { (void)cli.get_double("rate", 0); }).find("--rate"),
+            std::string::npos);
+  EXPECT_EQ(cli.get_int("ok", 0), -3);
+  EXPECT_THROW((void)cli.get_int("ok", 0, 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("missing", 7, 1), 7);
+}
+
+TEST(Cli, NumberListsAreStrict) {
+  const char* argv[] = {"prog", "--losses=0.05,,0.2,", "--junk=0.1,0.5x",
+                        "--range=0.5,1",  "--none=,"};
+  Cli cli(5, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_doubles("losses", "", 0, 1), (std::vector<double>{0.05, 0.2}));
+  EXPECT_EQ(cli.get_doubles("missing", "1,2", 0, 3), (std::vector<double>{1, 2}));
+  EXPECT_NE(error_of([&] { (void)cli.get_doubles("junk", "", 0, 1); }).find("--junk"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { (void)cli.get_doubles("range", "", 0, 1); }).find("--range"),
+            std::string::npos);
+  EXPECT_THROW((void)cli.get_doubles("none", "", 0, 1), std::invalid_argument);
+  EXPECT_EQ(cli.get_list("missing", "SOR-384,NQUEENS-14"),
+            (std::vector<std::string>{"SOR-384", "NQUEENS-14"}));
+}
+
+TEST(Cli, RejectsUnreadFlagsAndStrayArguments) {
+  const char* argv[] = {"prog", "--losses=0.5", "--losess=0.5"};
+  Cli cli(3, const_cast<char**>(argv));
+  (void)cli.get_doubles("losses", "0.1", 0, 1);
+  EXPECT_NE(error_of([&] { cli.reject_unread(); }).find("--losess"), std::string::npos);
+  (void)cli.has("losess");  // a flag the program checks for counts as read
+  EXPECT_NO_THROW(cli.reject_unread());
+
+  const char* stray_argv[] = {"prog", "--quick", "stray", "--", "more"};
+  Cli stray(5, const_cast<char**>(stray_argv));
+  (void)stray.get_bool("quick", false);
+  EXPECT_EQ(error_of([&] { stray.reject_unread(); }), "unknown flag --");
+  const char* positional_argv[] = {"prog", "stray"};
+  EXPECT_NE(error_of([&] { Cli(2, const_cast<char**>(positional_argv)).reject_unread(); })
+                .find("'stray'"),
+            std::string::npos);
 }
 
 TEST(Cli, FallbacksWhenAbsent) {
