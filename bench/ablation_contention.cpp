@@ -2,12 +2,12 @@
 //
 // The paper attributes Coord_NB's overhead to "the nearly simultaneous
 // occurrence of all checkpoints, which is likely to result in contention
-// for the communication network and the stable storage". Two sweeps make
-// the mechanism visible:
-//   1. Disk bandwidth: as the disk gets faster, the NB/Indep gap and the
-//      benefit of staggering shrink (the bottleneck dissolves).
-//   2. Checkpoint size (SOR grid size): overhead grows with state size for
-//      write-through schemes but only with the memory-copy for buffered ones.
+// for the communication network and the stable storage". A disk-bandwidth
+// sweep makes the mechanism visible: SOR-768 with three checkpoints under
+// Coord_NB, Indep, Coord_NBM and Coord_NBMS while the disk and host link
+// run at x0.25 to x16 of their calibrated speed. As the disk gets faster,
+// the NB/Indep gap and the benefit of staggering shrink (the bottleneck
+// dissolves).
 //
 //   ./ablation_contention        (no flags)
 #include <cstdio>
@@ -67,7 +67,7 @@ void print_table(const Grid& grid) {
 
 int main(int argc, char** argv) {
   using namespace chk::bench;
-  if (const int rc = parse_flags("ablation_contention", argc, argv)) return rc;
+  if (const int rc = chk::util::parse_flags("ablation_contention", argc, argv)) return rc;
   std::vector<ExperimentConfig> bases;
   for (double factor : disk_factors()) bases.push_back(disk_config(factor));
   const Grid grid = run_grid(

@@ -52,7 +52,7 @@ void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
 
 int main(int argc, char** argv) {
   using namespace chk::bench;
-  if (const int rc = parse_flags("ablation_incremental", argc, argv)) return rc;
+  if (const int rc = chk::util::parse_flags("ablation_incremental", argc, argv)) return rc;
   const std::vector<BenchRow> rows{chk::harness::find_row("ISING-1024"),
                                    chk::harness::find_row("GAUSS-1024"),
                                    chk::harness::find_row("SOR-1024")};

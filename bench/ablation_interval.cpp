@@ -99,7 +99,7 @@ void write_json(const Grid& grid) {
 
 int main(int argc, char** argv) {
   using namespace chk::bench;
-  if (const int rc = parse_flags("ablation_interval", argc, argv)) return rc;
+  if (const int rc = chk::util::parse_flags("ablation_interval", argc, argv)) return rc;
   const BenchRow row = chk::harness::find_row("SOR-1024");
   const std::size_t columns = sweep_schemes().size();
   // One row; columns are every (checkpoint count, scheme) point, count-major.

@@ -43,7 +43,7 @@ Options read_options(const util::Cli& cli) {
   const bool quick = cli.get_bool("quick", false);
   Options o;
   o.app = cli.get("app", "SOR-384");
-  (void)harness::find_row(o.app);
+  bench::require_app("app", o.app);
   o.losses = cli.get_doubles("losses", quick ? "0.05,0.2" : "0.02,0.05,0.1,0.2", 0.0, 1.0);
   o.nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1));
   o.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0));
@@ -57,8 +57,8 @@ Options read_options(const util::Cli& cli) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (const int rc = bench::parse_flags("ablation_linkloss", argc, argv,
-                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+  if (const int rc = util::parse_flags("ablation_linkloss", argc, argv,
+                                       [&](const util::Cli& cli) { opt = read_options(cli); })) {
     return rc;
   }
   // Baseline: failure-free, perfect links — sets the checkpoint interval

@@ -34,8 +34,17 @@
 // --detector=binary are rejected rather than ignored. --quick shrinks the
 // sweep (2 timeouts x 1 threshold x 2 loss points). Output is
 // byte-identical across repeats with the same seed.
+//
+// Exit 1 unless every check in check_document() holds: every cell
+// verified with heartbeats flowing, clean links evict nobody, every
+// coordinator kill is detected once with a successor elected and no
+// deadman; at >= 20% loss the most aggressive binary timeout wrongly
+// evicts (and the fenced ranks rejoin); phi-accrual never wrongly evicts
+// at the heaviest loss; with both detectors, phi detects the kill within
+// 2x the binary latency.
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -138,7 +147,7 @@ Options read_options(const util::Cli& cli) {
   const bool quick = cli.get_bool("quick", false);
   Options o;
   o.app = cli.get("app", "SOR-384");
-  (void)harness::find_row(o.app);
+  bench::require_app("app", o.app);
   const std::string detector = cli.get("detector", "both");
   if (detector == "binary") {
     o.run_phi = false;
@@ -177,12 +186,139 @@ Options read_options(const util::Cli& cli) {
   return o;
 }
 
+/// The claims the membership document makes, checked before it is written.
+void check_document(const obs::json::Value& doc, const Options& opt, bench::Verdict& v) {
+  using obs::json::Value;
+  v.expect(doc.at("table").as_string() == "membership", "table is \"membership\"");
+  v.expect(doc.at("all_verified").as_bool(), "every cell passed digest and invariant checks");
+  const std::size_t detectors = (opt.run_binary ? 1u : 0u) + (opt.run_phi ? 1u : 0u);
+  const auto& rows = doc.at("rows").items();
+  v.expect(rows.size() == opt.losses.size() *
+                              ((opt.run_binary ? opt.timeouts.size() : 0) +
+                               (opt.run_phi ? opt.thresholds.size() : 0)),
+           "one row per detector knob x loss");
+  const double max_loss = *std::max_element(opt.losses.begin(), opt.losses.end());
+  const double aggressive = *std::min_element(opt.timeouts.begin(), opt.timeouts.end());
+  bool saw_binary = false;
+  bool saw_phi = false;
+  std::vector<const Value*> storm;    // aggressive binary timeout at the heaviest loss
+  std::vector<const Value*> phi_max;  // every phi threshold at the heaviest loss
+  for (const Value& row : rows) {
+    const std::string& detector = row.at("detector").as_string();
+    const double loss = row.at("loss").as_double();
+    // Each row carries the knob of its detector, never the other's.
+    if (detector == "binary") {
+      saw_binary = true;
+      v.expect(row.contains("detect_timeout_s") && !row.contains("phi_threshold"),
+               "a binary row carries only detect_timeout_s");
+    } else {
+      v.expect(detector == "phi", "detector is binary or phi", detector);
+      saw_phi = true;
+      v.expect(row.contains("phi_threshold") && !row.contains("detect_timeout_s"),
+               "a phi row carries only phi_threshold");
+    }
+    const auto& cells = row.at("cells").items();
+    v.expect(cells.size() == paper_schemes().size(), "one cell per paper scheme", detector);
+    for (std::size_t s = 0; s < cells.size() && s < paper_schemes().size(); ++s) {
+      v.expect(cells[s].at("scheme").as_string() == to_string(paper_schemes()[s]),
+               "cells in paper-scheme order", detector);
+    }
+    const bool is_storm = detector == "binary" && loss == max_loss &&
+                          row.at("detect_timeout_s").as_double() == aggressive;
+    for (const Value& cell : cells) {
+      const std::string where = detector + " " + cell.at("scheme").as_string();
+      if (!v.expect_keys(cell, {"scheme", "exec_s", "heartbeats_sent", "suspicions",
+                                "suspicions_cleared", "views_established", "evictions",
+                                "wrongful_evictions", "rejoins", "crashes", "detections",
+                                "detection_latency_s", "detection_lat_counts",
+                                "forced_recoveries", "aborted_rounds", "committed_rounds",
+                                "retransmits", "digest_ok", "invariant_violations"},
+                         where)) {
+        continue;
+      }
+      v.expect(cell.at("digest_ok").as_bool(), "cell reproduced the digest", where);
+      v.expect(cell.at("invariant_violations").as_int() == 0, "no invariant violations", where);
+      v.expect(cell.at("heartbeats_sent").as_int() > 0, "heartbeats flowed", where);
+      if (loss == 0) {
+        v.expect(cell.at("evictions").as_int() == 0, "clean links evict nobody", where);
+      }
+      if (is_storm) storm.push_back(&cell);
+      if (detector == "phi" && loss == max_loss) phi_max.push_back(&cell);
+    }
+  }
+  v.expect(saw_binary == opt.run_binary && saw_phi == opt.run_phi,
+           "rows cover exactly the requested detectors");
+
+  // The headline A/B at the heaviest loss.
+  if (opt.run_binary) {
+    std::int64_t storm_wrongful = 0;
+    for (const Value* cell : storm) {
+      const std::int64_t wrongful = cell->at("wrongful_evictions").as_int();
+      storm_wrongful += wrongful;
+      if (wrongful > 0) {
+        v.expect(cell->at("rejoins").as_int() > 0, "a fenced rank rejoined",
+                 cell->at("scheme").as_string());
+      }
+    }
+    v.expect(doc.at("binary_aggressive_wrongful").as_int() == storm_wrongful,
+             "binary_aggressive_wrongful sums the storm corner");
+    if (max_loss >= 0.2) {
+      v.expect(storm_wrongful > 0,
+               "the aggressive-timeout/heavy-loss corner wrongly evicts a live rank");
+    }
+  }
+  if (opt.run_phi) {
+    v.expect(!phi_max.empty(), "phi rows at the heaviest loss");
+    for (const Value* cell : phi_max) {
+      v.expect(cell->at("wrongful_evictions").as_int() == 0,
+               "phi-accrual never wrongly evicts at the heaviest loss",
+               cell->at("scheme").as_string());
+    }
+    v.expect(doc.at("phi_wrongful_at_max_loss").as_int() == 0,
+             "phi_wrongful_at_max_loss is zero");
+  }
+
+  // Real crash: every detector finds the dead coordinator, elects a
+  // successor, and phi is no more than 2x slower than binary.
+  const auto& kills = doc.at("coordinator_kill").items();
+  v.expect(kills.size() == detectors * coordinated_schemes().size(),
+           "one kill per detector x coordinated scheme");
+  std::map<std::string, std::map<std::string, double>> latency;  // detector -> scheme -> s
+  for (const Value& cell : kills) {
+    const std::string& detector = cell.at("detector").as_string();
+    const std::string& scheme = cell.at("scheme").as_string();
+    const std::string where = detector + " " + scheme;
+    v.expect(cell.at("digest_ok").as_bool() && cell.at("crashes").as_int() == 1,
+             "one crash, digest reproduced", where);
+    v.expect(cell.at("detections").as_int() == 1 && cell.at("wrongful_evictions").as_int() == 0,
+             "the crash detected once, nobody wrongly evicted", where);
+    v.expect(cell.at("views_established").as_int() >= 1, "a successor was elected", where);
+    v.expect(cell.at("forced_recoveries").as_int() == 0, "the deadman never fired", where);
+    const auto& lats = cell.at("detection_latency_s").items();
+    if (v.expect(!lats.empty(), "a detection latency was measured", where)) {
+      latency[detector][scheme] = lats.front().as_double();
+    }
+  }
+  v.expect(latency.size() == detectors, "kills cover exactly the requested detectors");
+  for (const auto& [detector, by_scheme] : latency) {
+    v.expect(by_scheme.size() == coordinated_schemes().size(),
+             "every coordinated scheme killed", detector);
+  }
+  if (latency.contains("binary") && latency.contains("phi")) {
+    const auto& phi = latency.at("phi");
+    for (const auto& [scheme, binary_s] : latency.at("binary")) {
+      v.expect(phi.contains(scheme) && phi.at(scheme) <= 2 * binary_s,
+               "phi detects within 2x the binary latency", scheme);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  if (const int rc = bench::parse_flags("ablation_membership", argc, argv,
-                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+  if (const int rc = util::parse_flags("ablation_membership", argc, argv,
+                                       [&](const util::Cli& cli) { opt = read_options(cli); })) {
     return rc;
   }
   const std::vector<double>& timeouts = opt.timeouts;
@@ -293,6 +429,7 @@ int main(int argc, char** argv) {
   // The headline A/B: wrongful evictions at the highest loss point, the
   // most aggressive binary timeout against every phi threshold.
   const double max_loss = *std::max_element(losses.begin(), losses.end());
+  const double aggressive_timeout = *std::min_element(timeouts.begin(), timeouts.end());
   std::uint64_t binary_aggressive_wrongful = 0;
   std::uint64_t phi_wrongful_at_max_loss = 0;
   {
@@ -301,7 +438,7 @@ int main(int argc, char** argv) {
       for (std::size_t s = 0; s < columns; ++s) {
         const harness::ExperimentResult& r = results[index++];
         if (row.loss != max_loss) continue;
-        if (row.detector == Detector::kBinaryTimeout && row.knob == timeouts.front()) {
+        if (row.detector == Detector::kBinaryTimeout && row.knob == aggressive_timeout) {
           binary_aggressive_wrongful += r.wrongful_evictions;
         }
         if (row.detector == Detector::kPhiAccrual) {
@@ -409,7 +546,9 @@ int main(int argc, char** argv) {
     }
   }
   doc.set("coordinator_kill", std::move(kill_array));
+  bench::Verdict verdict("ablation_membership");
+  verdict.check_document([&] { check_document(doc, opt, verdict); });
   obs::write_text_file(opt.json_out, doc.dump() + "\n");
   std::printf("\nWrote %s\n", opt.json_out.c_str());
-  return all_ok ? 0 : 1;
+  return verdict.exit_code();
 }

@@ -48,7 +48,7 @@ Options read_options(const util::Cli& cli) {
   const bool quick = cli.get_bool("quick", false);
   Options o;
   o.app = cli.get("app", "SOR-384");
-  (void)harness::find_row(o.app);
+  bench::require_app("app", o.app);
   o.rates = cli.get_doubles("rates", quick ? "0.1" : "0.05,0.1,0.2", 0.0, 1.0);
   o.nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1));
   o.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0));
@@ -64,8 +64,8 @@ Options read_options(const util::Cli& cli) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (const int rc = bench::parse_flags("ablation_storagefault", argc, argv,
-                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+  if (const int rc = util::parse_flags("ablation_storagefault", argc, argv,
+                                       [&](const util::Cli& cli) { opt = read_options(cli); })) {
     return rc;
   }
 

@@ -133,7 +133,7 @@ void write_json(const std::vector<Cell>& cells) {
 
 int main(int argc, char** argv) {
   using namespace chk::bench;
-  if (const int rc = parse_flags("ablation_sync_cost", argc, argv)) return rc;
+  if (const int rc = chk::util::parse_flags("ablation_sync_cost", argc, argv)) return rc;
   const std::vector<Cell> cells = run_cells();
   print_table(cells);
   write_json(cells);

@@ -12,17 +12,51 @@
 
 namespace chk::bench {
 
-int parse_flags(const char* driver, int argc, char** argv,
-                const std::function<void(const util::Cli&)>& read) {
+void require_app(std::string_view flag, const std::string& label) {
   try {
-    const util::Cli cli(argc, argv);
-    if (read) read(cli);
-    cli.reject_unread();
-    return 0;
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "%s: %s\n", driver, err.what());
-    return 2;
+    (void)harness::find_row(label);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(util::format("--{}: unknown app '{}'", flag, label));
   }
+}
+
+bool Verdict::expect(bool ok, std::string_view what, std::string_view where) {
+  if (!ok) {
+    ok_ = false;
+    if (where.empty()) {
+      std::fprintf(stderr, "%s: check failed: %.*s\n", driver_, static_cast<int>(what.size()),
+                   what.data());
+    } else {
+      std::fprintf(stderr, "%s: check failed: %.*s [%.*s]\n", driver_,
+                   static_cast<int>(what.size()), what.data(), static_cast<int>(where.size()),
+                   where.data());
+    }
+  }
+  return ok;
+}
+
+bool Verdict::expect_keys(const obs::json::Value& object,
+                          std::initializer_list<std::string_view> keys, std::string_view where) {
+  bool ok = true;
+  for (const std::string_view key : keys) {
+    ok = expect(object.contains(key), util::format("document carries key \"{}\"", key), where) &&
+         ok;
+  }
+  return ok;
+}
+
+void Verdict::check_document(const std::function<void()>& checks) {
+  try {
+    checks();
+  } catch (const std::exception& err) {
+    expect(false, err.what());
+  }
+}
+
+bool is_trace_hash(const std::string& hash) {
+  return hash.size() == 16 && std::all_of(hash.begin(), hash.end(), [](char c) {
+           return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+         });
 }
 
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& work) {

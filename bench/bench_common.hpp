@@ -1,18 +1,23 @@
 // The skeleton every bench/ driver is built on.
 //
-// A driver is a plain command-line program in three steps:
-//   1. parse_flags() reads the driver's flags through util::Cli and rejects
-//      bad values, unknown flags and stray arguments ("<driver>: <message>",
-//      exit 2) before anything runs;
+// A driver is a plain command-line program in four steps:
+//   1. util::parse_flags() reads the driver's flags and rejects bad values,
+//      unknown flags and stray arguments ("<driver>: <message>", exit 2)
+//      before anything runs;
 //   2. the independent simulations run through parallel_map / run_grid,
 //      which fill pre-sized vectors, so output order never depends on
 //      completion order or on the number of worker threads;
-//   3. the driver prints its paper-style table and writes BENCH_<name>.json.
+//   3. the driver prints its paper-style table and builds BENCH_<name>.json;
+//   4. a Verdict checks every claim the driver makes about its runs and its
+//      document, and decides the exit code (1 on any failed check). The
+//      run-twice ctest tests run the drivers, so these checks gate tier-1.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/catalog.hpp"
@@ -29,13 +34,36 @@ using harness::ExperimentConfig;
 using harness::ExperimentResult;
 using harness::Scheme;
 
-/// Builds the Cli, calls `read` (when set) to read every flag the driver
-/// knows, then rejects any flag it did not read and any positional token.
-/// A std::invalid_argument from either step is printed to stderr as
-/// "<driver>: <message>". Returns 0 when the flags are good, else 2 — the
-/// driver's exit code.
-[[nodiscard]] int parse_flags(const char* driver, int argc, char** argv,
-                              const std::function<void(const util::Cli&)>& read = {});
+/// Throws std::invalid_argument "--<flag>: unknown app '<label>'" unless
+/// `label` names a catalog row.
+void require_app(std::string_view flag, const std::string& label);
+
+/// A driver's exit verdict: the one place its checks land.
+class Verdict {
+ public:
+  explicit Verdict(const char* driver) : driver_(driver) {}
+
+  /// Records one check. A failed check prints
+  /// "<driver>: check failed: <what> [<where>]" to stderr. Returns `ok`.
+  bool expect(bool ok, std::string_view what, std::string_view where = {});
+  /// expect() that the JSON object carries every key in `keys`.
+  bool expect_keys(const obs::json::Value& object,
+                   std::initializer_list<std::string_view> keys, std::string_view where = {});
+  /// Runs `checks` over a built document. A missing key, a value of the
+  /// wrong type or an out-of-range index fails the verdict instead of
+  /// aborting the driver.
+  void check_document(const std::function<void()>& checks);
+
+  /// 0 when every check held, else 1.
+  [[nodiscard]] int exit_code() const noexcept { return ok_ ? 0 : 1; }
+
+ private:
+  const char* driver_;
+  bool ok_ = true;
+};
+
+/// True when `hash` is a 16-digit lower-case hex trace hash.
+[[nodiscard]] bool is_trace_hash(const std::string& hash);
 
 /// Run work(0..count-1) on a small thread pool (bounded by the hardware
 /// concurrency); blocks until every item has finished. The first exception

@@ -13,7 +13,7 @@
 //              [--runs=4] [--max-failures=6] [--nodes=8] [--checkpoints=0]
 //              [--intervals=5] [--seed=2026] [--campaign-seed=1]
 //              [--link-loss=0] [--link-dup=0] [--link-corrupt=0]
-//              [--link-delay=0] [--link-delay-mean=0.001] [--transport]
+//              [--link-delay=0] [--link-delay-mean=0.001] [--no-transport]
 //              [--io-error=0] [--io-degrade=1] [--bitrot=0] [--keep-depth=0]
 //              [--detect-timeout=0] [--hb-period=0.25] [--target-coordinator]
 //              [--detector=binary|phi] [--phi-threshold=8] [--phi-window=32]
@@ -44,6 +44,14 @@
 // (1 app, 2 MTBF points, 2 runs). Every run verifies the application
 // digest against the failure-free baseline; the output is byte-identical
 // across repeats with the same seeds.
+//
+// Exit 1 unless every check in check_document() holds: every run verified
+// and (without --detect-timeout) its failures accounted for, each one
+// recovered or interrupted by the next; with
+// --max-failures >= 2, every run took >= 2 strikes including a mid-write
+// and a during-recovery one; with --link-loss > 0, every run dropped
+// frames and (transport on) retransmitted; with --io-error > 0, every run
+// failed storage operations and retried them.
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -83,7 +91,7 @@ Options read_options(const util::Cli& cli) {
   const bool quick = cli.get_bool("quick", false);
   Options o;
   o.apps = cli.get_list("apps", quick ? "SOR-384" : "SOR-384,NQUEENS-14");
-  for (const std::string& label : o.apps) (void)harness::find_row(label);
+  for (const std::string& label : o.apps) bench::require_app("apps", label);
   o.mtbf_fracs =
       cli.get_doubles("mtbf-fracs", quick ? "0.4,0.8" : "0.35,0.7,1.4", 0.0, HUGE_VAL);
   o.runs = static_cast<std::uint32_t>(cli.get_int("runs", quick ? 2 : 4, 1));
@@ -158,12 +166,99 @@ Options read_options(const util::Cli& cli) {
   return o;
 }
 
+/// The claims the campaign document makes, checked before it is written.
+void check_document(const obs::json::Value& doc, const Options& opt, bench::Verdict& v) {
+  v.expect(doc.at("table").as_string() == "campaign", "table is \"campaign\"");
+  v.expect(doc.at("all_verified").as_bool(), "every run reproduced the failure-free digest");
+  v.expect(doc.at("link_loss").as_double() == opt.link_faults.drop &&
+               doc.at("link_dup").as_double() == opt.link_faults.duplicate,
+           "document records the link-fault rates");
+  v.expect(doc.at("reliable_transport").as_bool() == opt.transport,
+           "document records the transport setting");
+  v.expect(doc.at("io_error").as_double() == opt.storage_faults.write_error &&
+               doc.at("bitrot").as_double() == opt.storage_faults.bitrot,
+           "document records the storage-fault rates");
+  v.expect(doc.at("io_degrade").as_double() == opt.storage_faults.degrade_factor,
+           "document records the degrade factor");
+  const auto& rows = doc.at("rows").items();
+  v.expect(rows.size() == opt.apps.size() * opt.mtbf_fracs.size(), "one row per app x MTBF");
+  const std::int64_t runs = doc.at("runs").as_int();
+  v.expect(runs == static_cast<std::int64_t>(opt.runs), "document records --runs");
+  for (const obs::json::Value& row : rows) {
+    const std::string& app = row.at("app").as_string();
+    const double normal_s = row.at("normal_exec_s").as_double();
+    v.expect(row.at("mtbf_s").as_double() > 0 && normal_s > 0, "positive MTBF and T", app);
+    const auto& cells = row.at("cells").items();
+    v.expect(cells.size() == paper_schemes().size(), "one cell per paper scheme", app);
+    for (std::size_t s = 0; s < cells.size() && s < paper_schemes().size(); ++s) {
+      v.expect(cells[s].at("scheme").as_string() == to_string(paper_schemes()[s]),
+               "cells in paper-scheme order", app);
+    }
+    for (const obs::json::Value& cell : cells) {
+      const std::string where = app + " " + cell.at("scheme").as_string();
+      const obs::json::Value& summary = cell.at("summary");
+      const auto& outcomes = cell.at("runs").items();
+      v.expect(summary.at("runs").as_int() == runs &&
+                   outcomes.size() == static_cast<std::size_t>(runs),
+               "summary and run list hold --runs runs", where);
+      v.expect(summary.at("all_verified").as_bool(), "every run in the cell verified", where);
+      v.expect(summary.at("mean_completion_s").as_double() >= normal_s,
+               "failures never make a run faster than failure-free", where);
+      for (const obs::json::Value& o : outcomes) {
+        if (!v.expect_keys(o, {"run", "completion_s", "trace_hash", "failures",
+                               "mid_write_failures", "overlap_failures", "recoveries",
+                               "interrupted_recoveries", "recovery_time_s", "bytes_read",
+                               "bytes_reread", "writes_discarded", "max_domino_depth",
+                               "rolled_to_origin", "digest_ok", "retransmits",
+                               "dups_suppressed", "corrupt_detected", "link_drops",
+                               "aborted_rounds", "io_write_errors", "io_read_errors",
+                               "bitrot_injected", "storage_retries",
+                               "storage_write_failures", "ckpt_write_failures",
+                               "corrupt_discarded", "generations_skipped",
+                               "reclaimed_bytes"},
+                           where)) {
+          continue;
+        }
+        const auto count = [&o](const char* key) { return o.at(key).as_int(); };
+        v.expect(o.at("digest_ok").as_bool(), "run reproduced the digest", where);
+        // Under the membership service several strikes can share one
+        // detection and its recovery, so only the oracle path has one
+        // recovery (or interruption) per strike.
+        if (!opt.membership.has_value()) {
+          v.expect(count("recoveries") + count("interrupted_recoveries") == count("failures"),
+                   "every strike recovered or was interrupted by the next", where);
+        }
+        v.expect(count("bytes_reread") <= count("bytes_read"),
+                 "re-read bytes are a subset of read bytes", where);
+        v.expect(bench::is_trace_hash(o.at("trace_hash").as_string()),
+                 "16-hex trace hash", where);
+        if (opt.max_failures >= 2) {
+          v.expect(count("failures") >= 2, ">= 2 strikes per run", where);
+          v.expect(count("mid_write_failures") >= 1, "a mid-write strike per run", where);
+          v.expect(count("overlap_failures") >= 1, "a during-recovery strike per run", where);
+        }
+        if (opt.link_faults.drop > 0) {
+          v.expect(count("link_drops") > 0, "the link model dropped frames", where);
+          if (opt.transport) {
+            v.expect(count("retransmits") > 0, "the transport repaired losses", where);
+          }
+        }
+        if (opt.storage_faults.write_error > 0) {
+          v.expect(count("io_write_errors") + count("io_read_errors") > 0,
+                   "the storage model failed operations", where);
+          v.expect(count("storage_retries") > 0, "the storage client retried", where);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  if (const int rc = bench::parse_flags("campaign", argc, argv,
-                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+  if (const int rc = util::parse_flags("campaign", argc, argv,
+                                       [&](const util::Cli& cli) { opt = read_options(cli); })) {
     return rc;
   }
   const std::size_t apps = opt.apps.size();
@@ -307,7 +402,9 @@ int main(int argc, char** argv) {
     row_array.push_back(std::move(entry));
   }
   doc.set("rows", std::move(row_array));
+  bench::Verdict verdict("campaign");
+  verdict.check_document([&] { check_document(doc, opt, verdict); });
   obs::write_text_file(opt.json_out, doc.dump() + "\n");
   std::printf("\nWrote %s\n", opt.json_out.c_str());
-  return all_verified ? 0 : 1;
+  return verdict.exit_code();
 }

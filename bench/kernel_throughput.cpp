@@ -18,11 +18,15 @@
 //                       [--payload=32] [--seed=2026]
 //                       [--json-out=BENCH_kernel.json] [--quick]
 //
-// Invariants checked in-driver (the run fails otherwise):
+// Invariants checked in-driver (exit 1 otherwise):
 //   * tracing on/off never changes trace_hash or the executed-event count;
 //   * every sent envelope is delivered exactly once;
 //   * the queue's live size stays O(armed timers): the dead fraction is
-//     bounded by the kernel's compaction threshold, not by traffic volume.
+//     bounded by the kernel's compaction threshold, not by traffic volume
+//     (peak <= 2x the live bound once cancels dwarf it, <= 4x in every
+//     churn cell), and the compactor fires once cancels dwarf the bound;
+//   * every RTO cancel matches an arm (check_document()).
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -158,6 +162,11 @@ std::vector<std::size_t> get_sizes(const util::Cli& cli, const std::string& key,
   return out;
 }
 
+/// Upper bound on the live (armed) queue entries of a cell.
+std::size_t live_bound(std::size_t ranks, std::size_t churn) {
+  return ranks * (churn + 8) + 256;
+}
+
 struct Options {
   std::vector<std::size_t> ranks;
   std::vector<std::size_t> churns;
@@ -180,12 +189,55 @@ Options read_options(const util::Cli& cli) {
   return o;
 }
 
+/// The claims the kernel document makes, checked before it is written.
+void check_document(const obs::json::Value& doc, const Options& opt, bench::Verdict& v) {
+  v.expect(doc.at("table").as_string() == "kernel_throughput", "table is \"kernel_throughput\"");
+  v.expect(doc.at("all_ok").as_bool(), "every in-driver cell check held");
+  const auto& cells = doc.at("cells").items();
+  v.expect(cells.size() == opt.ranks.size() * opt.churns.size(), "one cell per ranks x churn");
+  const auto iters = static_cast<std::uint64_t>(doc.at("iters").as_int());
+  std::size_t churned = 0;
+  for (const obs::json::Value& cell : cells) {
+    if (!v.expect_keys(cell, {"ranks", "churn", "events", "trace_hash", "end_time_ns",
+                              "delivered", "queue_peak", "compactions", "rto_armed",
+                              "rto_cancelled", "traced_matches"})) {
+      continue;
+    }
+    const auto field = [&cell](const char* key) {
+      return static_cast<std::uint64_t>(cell.at(key).as_int());
+    };
+    const std::string where = util::format("ranks={} churn={}", field("ranks"), field("churn"));
+    v.expect(bench::is_trace_hash(cell.at("trace_hash").as_string()), "16-hex trace hash",
+             where);
+    v.expect(cell.at("traced_matches").as_bool(), "tracing left the schedule alone", where);
+    v.expect(field("events") > 0 && field("delivered") > 0, "events ran and frames arrived",
+             where);
+    v.expect(field("rto_cancelled") <= field("rto_armed"), "every RTO cancel matches an arm",
+             where);
+    if (field("churn") == 0) continue;
+    ++churned;
+    // The heap-bloat regression gate: dead watchdog + RTO entries must be
+    // reclaimed, not held to their fire time.
+    const std::uint64_t bound = live_bound(field("ranks"), field("churn"));
+    v.expect(field("queue_peak") <= 4 * bound, "churn-cell queue peak <= 4x the live bound",
+             where);
+    const std::uint64_t cancelled =
+        field("rto_cancelled") + field("churn") * iters * field("ranks");
+    if (cancelled > 4 * bound) {
+      v.expect(field("compactions") > 0, "the compactor fired", where);
+    }
+  }
+  const auto churn_levels = static_cast<std::size_t>(
+      std::count_if(opt.churns.begin(), opt.churns.end(), [](std::size_t c) { return c > 0; }));
+  v.expect(churned == opt.ranks.size() * churn_levels, "one churn cell per ranks x churn > 0");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  if (const int rc = bench::parse_flags("kernel_throughput", argc, argv,
-                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+  if (const int rc = util::parse_flags("kernel_throughput", argc, argv,
+                                       [&](const util::Cli& cli) { opt = read_options(cli); })) {
     return rc;
   }
   const std::size_t iters = opt.iters;
@@ -231,14 +283,13 @@ int main(int argc, char** argv) {
     // O(live timers), not O(cancelled traffic history).
     const std::uint64_t cancelled =
         row.untraced.timers_cancelled + static_cast<std::uint64_t>(row.config.churn) * iters * row.config.ranks;
-    const std::size_t live_bound =
-        row.config.ranks * (row.config.churn + 8) + 256;
-    if (cancelled > 4 * live_bound && row.untraced.queue_peak > 2 * live_bound) {
+    const std::size_t bound = live_bound(row.config.ranks, row.config.churn);
+    if (cancelled > 4 * bound && row.untraced.queue_peak > 2 * bound) {
       std::fprintf(stderr,
                    "kernel_throughput: heap bloat at ranks=%zu churn=%zu "
                    "(peak %zu vs live bound %zu, %llu cancels)\n",
                    row.config.ranks, row.config.churn, row.untraced.queue_peak,
-                   live_bound, static_cast<unsigned long long>(cancelled));
+                   bound, static_cast<unsigned long long>(cancelled));
       all_ok = false;
     }
   }
@@ -282,7 +333,9 @@ int main(int argc, char** argv) {
     cells.push_back(std::move(cell));
   }
   doc.set("cells", std::move(cells));
+  bench::Verdict verdict("kernel_throughput");
+  verdict.check_document([&] { check_document(doc, opt, verdict); });
   obs::write_text_file(opt.json_out, doc.dump() + "\n");
   std::printf("wrote %s\n", opt.json_out.c_str());
-  return all_ok ? 0 : 1;
+  return verdict.exit_code();
 }

@@ -15,7 +15,10 @@
 // --trace-out writes the selected scheme's run as Chrome/Perfetto trace
 // JSON (load with ui.perfetto.dev); --metrics-out writes its metrics
 // snapshot + attribution; --json-out (default BENCH_overhead_breakdown.json)
-// collects every scheme's breakdown machine-readably.
+// collects every scheme's breakdown machine-readably. Exit 1 unless the
+// document holds all seven schemes and each scheme's summed buckets equal
+// its total_s (within 1e-6 s).
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
@@ -50,6 +53,21 @@ obs::json::Value scheme_json(const harness::ExperimentResult& result,
   entry.set("trace_events", Value::number(std::uint64_t{result.obs->trace.events.size()}));
   entry.set("attribution", obs::attribution_to_json(result.obs->attribution));
   return entry;
+}
+
+/// The claims the breakdown document makes, checked before it is written.
+void check_document(const obs::json::Value& doc, bench::Verdict& v) {
+  const auto& schemes = doc.at("schemes").items();
+  v.expect(schemes.size() == all_schemes().size(), "one entry per scheme (7)");
+  for (const obs::json::Value& scheme : schemes) {
+    // The buckets partition each rank's measured overhead, so their sums
+    // over ranks must too.
+    const obs::json::Value& total = scheme.at("attribution").at("total");
+    double sum = 0;
+    for (const obs::Bucket& bucket : obs::kBuckets) sum += total.at(bucket.name).as_double();
+    v.expect(std::fabs(sum - total.at("total_s").as_double()) < 1e-6,
+             "buckets sum to total_s", scheme.at("scheme").as_string());
+  }
 }
 
 struct Options {
@@ -90,8 +108,8 @@ Options read_options(const util::Cli& cli) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (const int rc = bench::parse_flags("overhead_breakdown", argc, argv,
-                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+  if (const int rc = util::parse_flags("overhead_breakdown", argc, argv,
+                                       [&](const util::Cli& cli) { opt = read_options(cli); })) {
     return rc;
   }
   harness::ExperimentConfig& base = opt.base;
@@ -165,6 +183,7 @@ int main(int argc, char** argv) {
   }
 
   // Machine-readable summary of the whole table.
+  bench::Verdict verdict("overhead_breakdown");
   {
     using obs::json::Value;
     Value doc = Value::object();
@@ -176,8 +195,9 @@ int main(int argc, char** argv) {
     Value entries = Value::array();
     for (const auto& result : results) entries.push_back(scheme_json(result, normal));
     doc.set("schemes", std::move(entries));
+    verdict.check_document([&] { check_document(doc, verdict); });
     obs::write_text_file(opt.json_out, doc.dump() + "\n");
     std::printf("Wrote %s\n", opt.json_out.c_str());
   }
-  return 0;
+  return verdict.exit_code();
 }

@@ -99,7 +99,7 @@ void print_table(const std::vector<ExperimentResult>& results) {
 
 int main(int argc, char** argv) {
   using namespace chk::bench;
-  if (const int rc = parse_flags("recovery_rollback", argc, argv)) return rc;
+  if (const int rc = chk::util::parse_flags("recovery_rollback", argc, argv)) return rc;
   // One failure-free baseline per application, then every (case, failure
   // point) crash run.
   std::vector<std::string> apps;

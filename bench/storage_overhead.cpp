@@ -62,7 +62,7 @@ void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
 
 int main(int argc, char** argv) {
   using namespace chk::bench;
-  if (const int rc = parse_flags("storage_overhead", argc, argv)) return rc;
+  if (const int rc = chk::util::parse_flags("storage_overhead", argc, argv)) return rc;
   const std::vector<BenchRow> rows{chk::harness::find_row("SOR-768"),
                                    chk::harness::find_row("NQUEENS-14")};
   const Grid grid = run_grid(

@@ -28,10 +28,20 @@
 // suspicion (phi knobs with --detector=binary are rejected). --quick
 // shrinks the sweep to one rate and {fault-free, one faulty} points.
 // Output is byte-identical across repeats with the same seed.
+//
+// Exit 1 unless every check in check_document() holds: every cell
+// reproduces the LWW digest, completes every issued request, keeps the
+// blocked-time partition exact (every cell runs traced), and reports
+// consistent latency counts and quantiles; the shard image grows and
+// shrinks when two checkpoint intervals fit the horizon; every faulty row
+// shows a recovery window; with --membership, every coordinator kill is
+// detected once, elects once, and keeps the blocked-time partition exact.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -110,11 +120,115 @@ Options read_options(const util::Cli& cli) {
   return o;
 }
 
+/// The claims the svc document makes, checked before it is written.
+void check_document(const obs::json::Value& doc, const Options& opt, bench::Verdict& v) {
+  using obs::json::Value;
+  const auto& membership = opt.membership;
+  v.expect(doc.at("table").as_string() == "svc_latency", "table is \"svc_latency\"");
+  v.expect(doc.at("all_verified").as_bool(),
+           "every run kept the LWW digest, the invariants and conservation");
+  v.expect(doc.at("membership").as_bool() == membership.has_value() &&
+               doc.at("detector").as_string() ==
+                   (membership.has_value() ? chklib::membership::to_string(membership->detector)
+                                           : "off"),
+           "document records the membership settings");
+  const auto& rows = doc.at("rows").items();
+  v.expect(rows.size() == opt.rates.size() * opt.mtbfs.size(), "one row per rate x MTBF");
+  const bool images_move = 2 * opt.interval < opt.horizon;
+  bool saw_faulty = false;
+  auto check_quantiles = [&v](const Value& cell, const std::string& where) {
+    v.expect(cell.at("lat_p50_s").as_double() <= cell.at("lat_p99_s").as_double() &&
+                 cell.at("lat_p99_s").as_double() <= cell.at("lat_p999_s").as_double(),
+             "p50 <= p99 <= p999", where);
+  };
+  for (const Value& row : rows) {
+    const bool faulty = row.at("mtbf_s").as_double() > 0;
+    saw_faulty = saw_faulty || faulty;
+    const auto& cells = row.at("cells").items();
+    v.expect(cells.size() == paper_schemes().size(), "one cell per paper scheme");
+    for (std::size_t s = 0; s < cells.size() && s < paper_schemes().size(); ++s) {
+      v.expect(cells[s].at("scheme").as_string() == to_string(paper_schemes()[s]),
+               "cells in paper-scheme order");
+    }
+    bool row_recovered = false;
+    bool row_downtime = false;
+    for (const Value& cell : cells) {
+      const std::string& where = cell.at("scheme").as_string();
+      if (!v.expect_keys(cell, {"scheme", "exec_s", "issued", "completed", "lat_p50_s",
+                                "lat_p99_s", "lat_p999_s", "lat_mean_s", "lat_max_s",
+                                "lat_counts", "queue_wait_s", "recoveries",
+                                "downtime_total_s", "image_log", "digest_ok"},
+                         where)) {
+        continue;
+      }
+      v.expect(cell.at("digest_ok").as_bool(), "cell reproduced the LWW digest", where);
+      const std::int64_t completed = cell.at("completed").as_int();
+      v.expect(cell.at("issued").as_int() == completed && completed > 0,
+               "every issued request completed", where);
+      std::int64_t counted = 0;
+      for (const Value& c : cell.at("lat_counts").items()) counted += c.as_int();
+      v.expect(counted == completed, "latency counts sum to completed", where);
+      check_quantiles(cell, where);
+      if (images_move) {
+        std::set<std::int64_t> sizes;
+        for (const Value& img : cell.at("image_log").items()) {
+          sizes.insert(img.at("bytes").as_int());
+        }
+        v.expect(!sizes.empty(), "a measured checkpoint-image curve", where);
+        v.expect(sizes.size() > 1, "shard image bytes moved", where);
+      }
+      const auto& recoveries = cell.at("recoveries").items();
+      row_recovered = row_recovered || !recoveries.empty();
+      row_downtime = row_downtime || cell.at("downtime_total_s").as_double() > 0;
+      if (faulty) {
+        for (const Value& rec : recoveries) {
+          v.expect(cell.at("lat_max_s").as_double() >= rec.at("downtime_s").as_double(),
+                   "the latency tail covers every recovery window", where);
+        }
+      }
+    }
+    // Independent schemes account restart latency as zero, so the row, not
+    // every cell, must show a recovery window.
+    if (faulty && opt.max_failures > 0) {
+      v.expect(row_recovered, "a faulty row fired failures");
+      v.expect(row_downtime, "a faulty row measured recovery downtime");
+    }
+  }
+  const bool faulty_requested =
+      std::any_of(opt.mtbfs.begin(), opt.mtbfs.end(), [](double m) { return m > 0; });
+  v.expect(saw_faulty == faulty_requested, "the sweep has a faulty row iff --mtbfs names one");
+
+  if (!membership.has_value()) return;
+  const auto& kills = doc.at("coordinator_kill").items();
+  v.expect(kills.size() == paper_schemes().size(), "one coordinator kill per paper scheme");
+  for (std::size_t s = 0; s < kills.size() && s < paper_schemes().size(); ++s) {
+    v.expect(kills[s].at("scheme").as_string() == to_string(paper_schemes()[s]),
+             "kills in paper-scheme order");
+  }
+  for (const Value& cell : kills) {
+    const std::string& where = cell.at("scheme").as_string();
+    v.expect(cell.at("membership_crashes").as_int() == 1, "one crash", where);
+    v.expect(cell.at("views_established").as_int() == 1, "exactly one view change", where);
+    v.expect(cell.at("detections").as_int() == 1 && cell.at("wrongful_evictions").as_int() == 0,
+             "the crash detected once, nobody wrongly evicted", where);
+    v.expect(cell.at("partition_exact").as_bool(),
+             "membership_wait keeps the blocked-time partition exact", where);
+    v.expect(cell.at("membership_wait_s").as_double() > 0, "failover cost is attributed",
+             where);
+    v.expect(cell.at("digest_ok").as_bool() && cell.at("invariant_violations").as_int() == 0,
+             "digest reproduced, no invariant violations", where);
+    check_quantiles(cell, where);
+  }
+}
+
 /// One cell of the sweep: the experiment outcome plus the merged workload
 /// metrics rank 0 deposited at drain.
 struct Cell {
   harness::ExperimentResult result;
   svc::SvcMetrics metrics;
+  /// Every rank's attribution buckets sum to its total (the obs_test
+  /// tolerance): the blocked-time partition is exact.
+  bool partition_exact = false;
 };
 
 /// Merged latency counts as a quantile-ready snapshot (edges in seconds).
@@ -132,8 +246,8 @@ obs::HistogramSnapshot latency_snapshot(const svc::SvcMetrics& m) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (const int rc = bench::parse_flags("svc_latency", argc, argv,
-                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
+  if (const int rc = util::parse_flags("svc_latency", argc, argv,
+                                       [&](const util::Cli& cli) { opt = read_options(cli); })) {
     return rc;
   }
   const std::vector<double>& rates = opt.rates;
@@ -155,10 +269,21 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t columns = paper_schemes().size();
-  auto run_cell = [](const harness::ExperimentConfig& config, const svc::SvcParams& params) {
+  // Every cell runs with the obs tracer so its blocked-time partition can be
+  // checked; the trace itself is dropped once the attribution is folded.
+  auto run_cell = [](harness::ExperimentConfig config, const svc::SvcParams& params) {
+    config.observe = true;
     Cell cell;
     cell.result = harness::run_experiment(config);
     cell.metrics = *params.sink;
+    if (cell.result.obs.has_value()) {
+      cell.partition_exact = true;
+      for (const obs::RankBuckets& rank : cell.result.obs->attribution.ranks) {
+        cell.partition_exact = cell.partition_exact &&
+                               std::fabs(rank.bucket_sum_s() - rank.total_s()) <= 1e-9;
+      }
+      cell.result.obs->trace = obs::Trace{};
+    }
     return cell;
   };
   const auto cells = bench::parallel_map<Cell>(
@@ -206,21 +331,10 @@ int main(int argc, char** argv) {
         config.seed = opt.seed;
         config.machine.num_nodes = opt.nodes;
         config.membership = membership;
-        config.observe = true;
         config.failure = harness::FailureSpec{
             des::TimePoint::origin() + des::Duration::seconds(opt.horizon * 0.5), 0};
         return run_cell(config, params);
       });
-  // Exactness of the attribution partition: every rank's bucket sum must
-  // equal its total (the obs_test tolerance).
-  auto partition_exact = [](const Cell& cell) {
-    if (!cell.result.obs.has_value()) return false;
-    for (const obs::RankBuckets& rank : cell.result.obs->attribution.ranks) {
-      if (std::fabs(rank.bucket_sum_s() - rank.total_s()) > 1e-9) return false;
-    }
-    return true;
-  };
-
   bool all_ok = true;
   {
     std::size_t index = 0;
@@ -230,7 +344,7 @@ int main(int argc, char** argv) {
           const Cell& cell = cells[index++];
           all_ok = all_ok && cell.result.digest == references[r] &&
                    cell.result.invariant_violations == 0 &&
-                   cell.metrics.completed == cell.metrics.issued;
+                   cell.metrics.completed == cell.metrics.issued && cell.partition_exact;
         }
       }
     }
@@ -239,7 +353,7 @@ int main(int argc, char** argv) {
                cell.result.invariant_violations == 0 &&
                cell.metrics.completed == cell.metrics.issued &&
                cell.result.membership_crashes == 1 &&
-               cell.result.views_established >= 1 && partition_exact(cell);
+               cell.result.views_established >= 1 && cell.partition_exact;
     }
   }
 
@@ -273,7 +387,7 @@ int main(int argc, char** argv) {
               "(upper-edge bounds) and recovery count per scheme; open-loop "
               "Poisson arrivals per rank, horizon {} s, checkpoint interval "
               "{} s, crash MTBF per row (0 = fault-free, <= {} failures); "
-              "digests + invariants + open-loop conservation verified: {})",
+              "digests + invariants + open-loop conservation + partition verified: {})",
               opt.nodes, util::Table::fixed(opt.horizon, 1), util::Table::fixed(opt.interval, 1),
               opt.max_failures, all_ok ? "yes" : "NO"))
           .c_str(),
@@ -300,7 +414,7 @@ int main(int argc, char** argv) {
                         util::Table::fixed(obs::histogram_quantile(snap, 0.999) * 1e3, 1)),
            std::to_string(cell.result.views_established),
            util::Table::fixed(detect_s, 2), util::Table::fixed(mwait, 2),
-           partition_exact(cell) ? "exact" : "BROKEN",
+           cell.partition_exact ? "exact" : "BROKEN",
            cell.result.digest == references.front() ? "ok" : "BAD"});
     }
     std::fputs(
@@ -447,14 +561,16 @@ int main(int argc, char** argv) {
              Value::number(cell.result.obs.has_value()
                                ? cell.result.obs->attribution.total.membership_wait_s
                                : 0.0));
-      kv.set("partition_exact", Value::boolean(partition_exact(cell)));
+      kv.set("partition_exact", Value::boolean(cell.partition_exact));
       kv.set("digest_ok", Value::boolean(cell.result.digest == references.front()));
       kv.set("invariant_violations", Value::number(cell.result.invariant_violations));
       kill_array.push_back(std::move(kv));
     }
     doc.set("coordinator_kill", std::move(kill_array));
   }
+  bench::Verdict verdict("svc_latency");
+  verdict.check_document([&] { check_document(doc, opt, verdict); });
   obs::write_text_file(opt.json_out, doc.dump() + "\n");
   std::printf("\nWrote %s\n", opt.json_out.c_str());
-  return all_ok ? 0 : 1;
+  return verdict.exit_code();
 }

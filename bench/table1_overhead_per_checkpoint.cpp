@@ -60,7 +60,9 @@ void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
 
 int main(int argc, char** argv) {
   using namespace chk::bench;
-  if (const int rc = parse_flags("table1_overhead_per_checkpoint", argc, argv)) return rc;
+  if (const int rc = chk::util::parse_flags("table1_overhead_per_checkpoint", argc, argv)) {
+    return rc;
+  }
   const std::vector<BenchRow> rows = chk::harness::table1_rows();
   const Grid grid = run_grid(
       row_configs(rows), paper_schemes().size(),

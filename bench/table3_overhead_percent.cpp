@@ -58,7 +58,7 @@ void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
 
 int main(int argc, char** argv) {
   using namespace chk::bench;
-  if (const int rc = parse_flags("table3_overhead_percent", argc, argv)) return rc;
+  if (const int rc = chk::util::parse_flags("table3_overhead_percent", argc, argv)) return rc;
   const std::vector<BenchRow> rows = chk::harness::table23_rows();
   const Grid grid = run_grid(
       row_configs(rows), table23_schemes().size(),

@@ -9,7 +9,7 @@
 //   * modelled computation via ctx.compute(flops),
 //   * communication and a final reduction.
 //
-//   ./custom_app [--scheme=Coord_NBM] [--slices=2000000] [--chunks=50]
+//   ./custom_app [--scheme=Coord_NBM] [--slices=2000000] [--chunks=50] [--verify]
 #include <cstdio>
 
 #include "harness/experiment.hpp"
@@ -58,13 +58,16 @@ chklib::AppFn make_pi_app(std::uint64_t slices, std::uint32_t chunks) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
   harness::ExperimentConfig config;
   config.label = "PI";
-  config.app = make_pi_app(static_cast<std::uint64_t>(cli.get_int("slices", 2'000'000)),
-                           static_cast<std::uint32_t>(cli.get_int("chunks", 50)));
-  config.scheme = chklib::scheme_from_string(cli.get("scheme", "Coord_NBM"));
-  config.verify = util::verify_requested(cli);
+  if (const int rc = util::parse_flags("custom_app", argc, argv, [&](const util::Cli& cli) {
+        config.app = make_pi_app(static_cast<std::uint64_t>(cli.get_int("slices", 2'000'000, 1)),
+                                 static_cast<std::uint32_t>(cli.get_int("chunks", 50, 1)));
+        config.scheme = chklib::scheme_from_string(cli.get("scheme", "Coord_NBM"));
+        config.verify = util::verify_requested(cli);
+      })) {
+    return rc;
+  }
 
   const auto normal = harness::run_normal(config);
   config.interval = des::Duration::seconds(normal.exec_time_s / 4.0);

@@ -7,7 +7,7 @@
 // checkpoints were useless. A loosely coupled application (NQUEENS: no
 // communication until the final reduction) keeps its newest checkpoints.
 //
-//   ./domino_effect [--fail-at-frac=0.8]
+//   ./domino_effect [--fail-at-frac=0.8] [--verify]
 #include <cstdio>
 
 #include "apps/nqueens.hpp"
@@ -57,9 +57,14 @@ void describe(const char* label, const harness::ExperimentResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const double fail_frac = cli.get_double("fail-at-frac", 0.8);
-  const bool verify = util::verify_requested(cli);
+  double fail_frac = 0;
+  bool verify = false;
+  if (const int rc = util::parse_flags("domino_effect", argc, argv, [&](const util::Cli& cli) {
+        fail_frac = cli.get_double("fail-at-frac", 0.8);
+        verify = util::verify_requested(cli);
+      })) {
+    return rc;
+  }
 
   std::puts("Tightly coupled (SOR, halo exchange every iteration):");
   const auto sor =

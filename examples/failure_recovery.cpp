@@ -14,16 +14,20 @@
 
 int main(int argc, char** argv) {
   using namespace chk;
-  const util::Cli cli(argc, argv);
-  const double fail_frac = cli.get_double("fail-at-frac", 0.6);
-  const auto fail_rank = static_cast<chklib::Rank>(cli.get_int("fail-rank", 3));
-
+  double fail_frac = 0;
+  chklib::Rank fail_rank = 0;
   harness::ExperimentConfig config;
   config.label = "ASP";
-  config.app = apps::make_asp({.n = static_cast<std::size_t>(cli.get_int("n", 256))});
   config.scheme = harness::Scheme::kCoordNB;
   config.checkpoints = 0;  // periodic until the run completes
-  config.verify = util::verify_requested(cli);
+  if (const int rc = util::parse_flags("failure_recovery", argc, argv, [&](const util::Cli& cli) {
+        fail_frac = cli.get_double("fail-at-frac", 0.6);
+        fail_rank = static_cast<chklib::Rank>(cli.get_int("fail-rank", 3, 0));
+        config.app = apps::make_asp({.n = static_cast<std::size_t>(cli.get_int("n", 256, 1))});
+        config.verify = util::verify_requested(cli);
+      })) {
+    return rc;
+  }
 
   const auto normal = harness::run_normal(config);
   config.interval = des::Duration::seconds(normal.exec_time_s / 5.0);

@@ -11,6 +11,8 @@
 // snapshot and the per-rank overhead attribution. Observation never changes
 // the simulation: the trace hash is identical with these flags on or off.
 #include <cstdio>
+#include <optional>
+#include <string>
 
 #include "apps/sor.hpp"
 #include "harness/experiment.hpp"
@@ -18,21 +20,45 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace chk;
-  const util::Cli cli(argc, argv);
+namespace {
 
+using namespace chk;
+
+struct Options {
   harness::ExperimentConfig config;
+  std::optional<double> interval_s;
+  std::optional<std::string> trace_out;
+  std::optional<std::string> metrics_out;
+};
+
+Options read_options(const util::Cli& cli) {
+  Options o;
+  harness::ExperimentConfig& config = o.config;
   config.label = "SOR";
   config.app = apps::make_sor({
-      .n = static_cast<std::size_t>(cli.get_int("n", 512)),
-      .iterations = static_cast<std::uint32_t>(cli.get_int("iters", 100)),
+      .n = static_cast<std::size_t>(cli.get_int("n", 512, 1)),
+      .iterations = static_cast<std::uint32_t>(cli.get_int("iters", 100, 0)),
   });
   config.scheme = chklib::scheme_from_string(cli.get("scheme", "Coord_NBMS"));
-  config.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3));
-  config.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
+  config.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3, 0));
+  config.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1));
   config.verify = util::verify_requested(cli);
-  config.observe = cli.has("trace-out") || cli.has("metrics-out");
+  if (cli.has("interval-s")) o.interval_s = cli.get_double("interval-s", 30.0);
+  if (cli.has("trace-out")) o.trace_out = cli.get("trace-out", "trace.json");
+  if (cli.has("metrics-out")) o.metrics_out = cli.get("metrics-out", "metrics.json");
+  config.observe = o.trace_out.has_value() || o.metrics_out.has_value();
+  return o;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  if (const int rc = util::parse_flags("quickstart", argc, argv,
+                                       [&](const util::Cli& cli) { opt = read_options(cli); })) {
+    return rc;
+  }
+  harness::ExperimentConfig& config = opt.config;
 
   std::printf("Running %s on %zu simulated T805 nodes...\n", config.label.c_str(),
               config.machine.num_nodes);
@@ -40,8 +66,7 @@ int main(int argc, char** argv) {
   // Default interval: a quarter of the failure-free run, so the requested
   // checkpoints comfortably fit (the paper used per-application intervals).
   config.interval = des::Duration::seconds(
-      cli.has("interval-s") ? cli.get_double("interval-s", 30.0)
-                            : normal.exec_time_s / (config.checkpoints + 1.0));
+      opt.interval_s.value_or(normal.exec_time_s / (config.checkpoints + 1.0)));
   const auto result = harness::run_experiment(config);
 
   util::Table table({"metric", "value"});
@@ -83,21 +108,21 @@ int main(int argc, char** argv) {
   std::fputs(table.render("CHK-LIB quickstart").c_str(), stdout);
 
   if (result.obs) {
-    if (cli.has("trace-out")) {
-      const std::string path = cli.get("trace-out", "trace.json");
+    if (opt.trace_out) {
+      const std::string& path = *opt.trace_out;
       obs::write_text_file(
           path,
           obs::to_chrome_trace(result.obs->trace, config.machine.num_nodes).dump());
       std::printf("Wrote %s (%zu events; open with ui.perfetto.dev)\n", path.c_str(),
                   result.obs->trace.events.size());
     }
-    if (cli.has("metrics-out")) {
+    if (opt.metrics_out) {
       using obs::json::Value;
       Value doc = Value::object();
       doc.set("scheme", Value::string(std::string(to_string(config.scheme))));
       doc.set("metrics", obs::metrics_to_json(result.obs->metrics));
       doc.set("attribution", obs::attribution_to_json(result.obs->attribution));
-      const std::string path = cli.get("metrics-out", "metrics.json");
+      const std::string& path = *opt.metrics_out;
       obs::write_text_file(path, doc.dump() + "\n");
       std::printf("Wrote %s\n", path.c_str());
     }

@@ -28,7 +28,7 @@
 //              protocol layer discards its in-flight round state (via the
 //              fence callback) and its acks stop counting toward commits.
 //              A fenced rank petitions the coordinator with kJoinRequest
-//              每 sweep until a re-adding view is established.
+//              each sweep until a re-adding view is established.
 //   crash      RecoveryManager::fail_now strikes are intercepted: instead
 //              of the oracle rollback, the victim merely goes silent (its
 //              application process dies and the comm down-gate swallows

@@ -36,18 +36,9 @@ obs::MetricsSnapshot build_metrics(const ExperimentResult& result, const ObsData
   reg.gauge("storage/disk_wait_s").set(result.disk_wait_s);
 
   const obs::RankBuckets& total = data.attribution.total;
-  reg.gauge("attrib/sync_wait_s").set(total.sync_wait_s);
-  reg.gauge("attrib/mem_copy_s").set(total.mem_copy_s);
-  reg.gauge("attrib/stable_write_s").set(total.stable_write_s);
-  reg.gauge("attrib/storage_contention_s").set(total.storage_contention_s);
-  reg.gauge("attrib/logging_s").set(total.logging_s);
-  reg.gauge("attrib/frozen_stall_s").set(total.frozen_stall_s);
-  reg.gauge("attrib/interference_s").set(total.interference_s);
-  reg.gauge("attrib/recovery_s").set(total.recovery_s);
-  reg.gauge("attrib/retransmit_wait_s").set(total.retransmit_wait_s);
-  reg.gauge("attrib/storage_retry_wait_s").set(total.storage_retry_wait_s);
-  reg.gauge("attrib/svc_queue_wait_s").set(total.svc_queue_wait_s);
-  reg.gauge("attrib/membership_wait_s").set(total.membership_wait_s);
+  for (const obs::Bucket& bucket : obs::kBuckets) {
+    reg.gauge("attrib/" + std::string(bucket.name)).set(total.*bucket.field);
+  }
   reg.gauge("attrib/total_s").set(total.total_s());
 
   // Transport / link-fault counters (all zero with faults off).

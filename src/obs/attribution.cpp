@@ -1,30 +1,44 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 
 namespace chk::obs {
 
 namespace {
 
-/// Exact per-rank accumulators in nanoseconds; converted to seconds once.
+/// Exact per-rank accumulators in nanoseconds, indexed like kBuckets;
+/// converted to seconds once.
 struct NsBuckets {
   std::int64_t window = 0;
-  std::int64_t mem_copy = 0;
-  std::int64_t stable_write = 0;
-  std::int64_t contention = 0;
-  std::int64_t logging = 0;
-  std::int64_t frozen = 0;
-  std::int64_t interference = 0;
-  std::int64_t recovery = 0;
-  std::int64_t retransmit_wait = 0;
-  std::int64_t retry_wait = 0;
-  std::int64_t svc_queue_wait = 0;
-  std::int64_t membership_wait = 0;
+  std::array<std::int64_t, kBuckets.size()> ns{};
 };
+
+/// kBuckets index of `field`, resolved at compile time.
+consteval std::size_t slot(double RankBuckets::*field) {
+  std::size_t i = 0;
+  while (kBuckets[i].field != field) ++i;
+  return i;
+}
 
 constexpr double to_s(std::int64_t ns) noexcept { return static_cast<double>(ns) * 1e-9; }
 
 }  // namespace
+
+double RankBuckets::bucket_sum_s() const noexcept {
+  double sum = 0;
+  for (const Bucket& b : kBuckets) sum += this->*b.field;
+  return sum;
+}
+
+double RankBuckets::total_s() const noexcept {
+  double sum = blocked_total_s;
+  for (const Bucket& b : kBuckets) {
+    if (!b.in_window) sum += this->*b.field;
+  }
+  return sum;
+}
 
 AttributionReport attribute(const Trace& trace, std::size_t num_ranks) {
   std::vector<NsBuckets> acc(num_ranks);
@@ -39,38 +53,38 @@ AttributionReport attribute(const Trace& trace, std::size_t num_ranks) {
         b.window += e.dur_ns;
         break;
       case EventKind::kMemCopy:
-        b.mem_copy += e.dur_ns;
+        b.ns[slot(&RankBuckets::mem_copy_s)] += e.dur_ns;
         break;
       case EventKind::kStableWrite:
         if (e.arg == 1) {
           const auto pure = std::min<std::int64_t>(static_cast<std::int64_t>(e.aux), e.dur_ns);
-          b.stable_write += pure;
-          b.contention += e.dur_ns - pure;
+          b.ns[slot(&RankBuckets::stable_write_s)] += pure;
+          b.ns[slot(&RankBuckets::storage_contention_s)] += e.dur_ns - pure;
         }
         break;
       case EventKind::kLogWrite:
-        if (e.arg == 1) b.logging += e.dur_ns;
+        if (e.arg == 1) b.ns[slot(&RankBuckets::logging_s)] += e.dur_ns;
         break;
       case EventKind::kFrozenStall:
-        b.frozen += e.dur_ns;
+        b.ns[slot(&RankBuckets::frozen_stall_s)] += e.dur_ns;
         break;
       case EventKind::kRecoveryRead:
-        b.recovery += e.dur_ns;
+        b.ns[slot(&RankBuckets::recovery_s)] += e.dur_ns;
         break;
       case EventKind::kRetransmitWait:
-        b.retransmit_wait += e.dur_ns;
+        b.ns[slot(&RankBuckets::retransmit_wait_s)] += e.dur_ns;
         break;
       case EventKind::kStorageRetryWait:
-        if (e.arg == 1) b.retry_wait += e.dur_ns;
+        if (e.arg == 1) b.ns[slot(&RankBuckets::storage_retry_wait_s)] += e.dur_ns;
         break;
       case EventKind::kSvcQueueWait:
-        b.svc_queue_wait += e.dur_ns;
+        b.ns[slot(&RankBuckets::svc_queue_wait_s)] += e.dur_ns;
         break;
       case EventKind::kMembershipWait:
-        b.membership_wait += e.dur_ns;
+        b.ns[slot(&RankBuckets::membership_wait_s)] += e.dur_ns;
         break;
       case EventKind::kInterference:
-        b.interference += static_cast<std::int64_t>(e.aux);
+        b.ns[slot(&RankBuckets::interference_s)] += static_cast<std::int64_t>(e.aux);
         break;
       default:
         break;
@@ -80,38 +94,20 @@ AttributionReport attribute(const Trace& trace, std::size_t num_ranks) {
   AttributionReport report;
   report.ranks.resize(num_ranks);
   for (std::size_t r = 0; r < num_ranks; ++r) {
-    const NsBuckets& b = acc[r];
+    NsBuckets& b = acc[r];
     RankBuckets& out = report.ranks[r];
     // The window remainder is protocol synchronization: token/grant waits
     // and any in-window time not spent copying or writing.
-    const std::int64_t accounted =
-        b.mem_copy + b.stable_write + b.contention + b.logging + b.retry_wait;
-    out.sync_wait_s = to_s(std::max<std::int64_t>(0, b.window - accounted));
-    out.mem_copy_s = to_s(b.mem_copy);
-    out.stable_write_s = to_s(b.stable_write);
-    out.storage_contention_s = to_s(b.contention);
-    out.logging_s = to_s(b.logging);
-    out.frozen_stall_s = to_s(b.frozen);
-    out.interference_s = to_s(b.interference);
-    out.recovery_s = to_s(b.recovery);
-    out.retransmit_wait_s = to_s(b.retransmit_wait);
-    out.storage_retry_wait_s = to_s(b.retry_wait);
-    out.svc_queue_wait_s = to_s(b.svc_queue_wait);
-    out.membership_wait_s = to_s(b.membership_wait);
+    std::int64_t accounted = 0;
+    for (std::size_t i = 0; i < kBuckets.size(); ++i) {
+      if (kBuckets[i].in_window) accounted += b.ns[i];
+    }
+    b.ns[slot(&RankBuckets::sync_wait_s)] = std::max<std::int64_t>(0, b.window - accounted);
+    for (std::size_t i = 0; i < kBuckets.size(); ++i) {
+      out.*kBuckets[i].field = to_s(b.ns[i]);
+      report.total.*kBuckets[i].field += out.*kBuckets[i].field;
+    }
     out.blocked_total_s = to_s(b.window);
-
-    report.total.sync_wait_s += out.sync_wait_s;
-    report.total.mem_copy_s += out.mem_copy_s;
-    report.total.stable_write_s += out.stable_write_s;
-    report.total.storage_contention_s += out.storage_contention_s;
-    report.total.logging_s += out.logging_s;
-    report.total.frozen_stall_s += out.frozen_stall_s;
-    report.total.interference_s += out.interference_s;
-    report.total.recovery_s += out.recovery_s;
-    report.total.retransmit_wait_s += out.retransmit_wait_s;
-    report.total.storage_retry_wait_s += out.storage_retry_wait_s;
-    report.total.svc_queue_wait_s += out.svc_queue_wait_s;
-    report.total.membership_wait_s += out.membership_wait_s;
     report.total.blocked_total_s += out.blocked_total_s;
   }
   return report;

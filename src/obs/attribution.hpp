@@ -11,6 +11,10 @@
 //                      + storage_retry_wait                  (exact, in ns)
 //   per-rank total  =  blocked windows + frozen_stall + interference
 //                      + recovery + retransmit_wait
+//                      + svc_queue_wait + membership_wait
+//
+// kBuckets below lists the buckets once, with which side of that split
+// each one sits on.
 //
 // stable_write is the write's uncontended service time (mesh pipeline +
 // host link + disk, empty queues); storage_contention is the rest of the
@@ -22,7 +26,9 @@
 // "unattributed".
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <string_view>
 #include <vector>
 
 #include "obs/tracer.hpp"
@@ -62,20 +68,41 @@ struct RankBuckets {
   /// is added symmetrically to both sums below.
   double membership_wait_s = 0;
   /// Sum of this rank's checkpoint blocking windows (== the protocol's
-  /// app_blocked share; the first five buckets partition it exactly).
+  /// app_blocked share; the in-window buckets partition it exactly).
   double blocked_total_s = 0;
 
-  [[nodiscard]] double bucket_sum_s() const noexcept {
-    return sync_wait_s + mem_copy_s + stable_write_s + storage_contention_s +
-           logging_s + frozen_stall_s + interference_s + recovery_s +
-           retransmit_wait_s + storage_retry_wait_s + svc_queue_wait_s +
-           membership_wait_s;
-  }
-  [[nodiscard]] double total_s() const noexcept {
-    return blocked_total_s + frozen_stall_s + interference_s + recovery_s +
-           retransmit_wait_s + svc_queue_wait_s + membership_wait_s;
-  }
+  /// Every bucket, summed in kBuckets order.
+  [[nodiscard]] double bucket_sum_s() const noexcept;
+  /// blocked_total_s plus the buckets outside the blocking windows.
+  [[nodiscard]] double total_s() const noexcept;
 };
+
+/// One attribution bucket: its name (the JSON key, and the metrics gauge
+/// under "attrib/"), its RankBuckets field, and whether it partitions the
+/// checkpoint blocking window (in_window) or adds to it in total_s().
+struct Bucket {
+  std::string_view name;
+  double RankBuckets::*field;
+  bool in_window;
+};
+
+/// The one list of attribution buckets, in emission order. Every consumer
+/// (attribute(), the sums above, the JSON export, the metrics gauges, the
+/// bench checks) iterates it.
+inline constexpr std::array<Bucket, 12> kBuckets{{
+    {"sync_wait_s", &RankBuckets::sync_wait_s, true},
+    {"mem_copy_s", &RankBuckets::mem_copy_s, true},
+    {"stable_write_s", &RankBuckets::stable_write_s, true},
+    {"storage_contention_s", &RankBuckets::storage_contention_s, true},
+    {"logging_s", &RankBuckets::logging_s, true},
+    {"frozen_stall_s", &RankBuckets::frozen_stall_s, false},
+    {"interference_s", &RankBuckets::interference_s, false},
+    {"recovery_s", &RankBuckets::recovery_s, false},
+    {"retransmit_wait_s", &RankBuckets::retransmit_wait_s, false},
+    {"storage_retry_wait_s", &RankBuckets::storage_retry_wait_s, true},
+    {"svc_queue_wait_s", &RankBuckets::svc_queue_wait_s, false},
+    {"membership_wait_s", &RankBuckets::membership_wait_s, false},
+}};
 
 struct AttributionReport {
   std::vector<RankBuckets> ranks;

@@ -115,18 +115,9 @@ namespace {
 
 json::Value buckets_to_json(const RankBuckets& b) {
   json::Value v = json::Value::object();
-  v.set("sync_wait_s", json::Value::number(b.sync_wait_s));
-  v.set("mem_copy_s", json::Value::number(b.mem_copy_s));
-  v.set("stable_write_s", json::Value::number(b.stable_write_s));
-  v.set("storage_contention_s", json::Value::number(b.storage_contention_s));
-  v.set("logging_s", json::Value::number(b.logging_s));
-  v.set("frozen_stall_s", json::Value::number(b.frozen_stall_s));
-  v.set("interference_s", json::Value::number(b.interference_s));
-  v.set("recovery_s", json::Value::number(b.recovery_s));
-  v.set("retransmit_wait_s", json::Value::number(b.retransmit_wait_s));
-  v.set("storage_retry_wait_s", json::Value::number(b.storage_retry_wait_s));
-  v.set("svc_queue_wait_s", json::Value::number(b.svc_queue_wait_s));
-  v.set("membership_wait_s", json::Value::number(b.membership_wait_s));
+  for (const Bucket& bucket : kBuckets) {
+    v.set(std::string(bucket.name), json::Value::number(b.*bucket.field));
+  }
   v.set("blocked_total_s", json::Value::number(b.blocked_total_s));
   v.set("total_s", json::Value::number(b.total_s()));
   return v;

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
@@ -140,7 +141,9 @@ std::vector<std::string> Cli::get_list(const std::string& key,
 bool Cli::get_bool(const std::string& key, bool fallback) const {
   const std::string* value = find(key);
   if (value == nullptr) return fallback;
-  return *value != "false" && *value != "0" && *value != "no";
+  if (*value == "true" || *value == "1" || *value == "yes") return true;
+  if (*value == "false" || *value == "0" || *value == "no") return false;
+  throw std::invalid_argument("--" + key + ": expected a boolean, got \"" + *value + "\"");
 }
 
 void Cli::reject_unread() const {
@@ -158,6 +161,19 @@ bool verify_requested(const Cli& cli) {
 #else
   return cli.get_bool("verify", false);
 #endif
+}
+
+int parse_flags(const char* program, int argc, char** argv,
+                const std::function<void(const Cli&)>& read) {
+  try {
+    const Cli cli(argc, argv);
+    if (read) read(cli);
+    cli.reject_unread();
+    return 0;
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "%s: %s\n", program, err.what());
+    return 2;
+  }
 }
 
 }  // namespace chk::util

@@ -1,10 +1,12 @@
 // Tiny command-line flag parser used by examples and bench binaries.
 // Supports --name=value, --no-name and boolean --flag forms. Every getter
-// records the flag as read, so a driver can reject the flags it never read
-// (typos) and stray positional tokens with reject_unread().
+// records the flag as read, so a program can reject the flags it never read
+// (typos) and stray positional tokens with reject_unread(); parse_flags()
+// wraps both steps into one door with a uniform exit code.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -29,6 +31,9 @@ class Cli {
   /// Strict number flag: the whole value must parse as a number. Throws
   /// std::invalid_argument naming the flag otherwise.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
+  /// Strict boolean flag: bare --key and true/1/yes read true, --no-key and
+  /// false/0/no read false. Throws std::invalid_argument naming the flag
+  /// for any other value.
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
   /// Strict probability flag: the whole value must parse as a number in
   /// [0, 1]. Throws std::invalid_argument naming the flag otherwise.
@@ -64,5 +69,14 @@ class Cli {
 /// run with the protocol invariant monitor installed. The default follows
 /// the build: on under CHK_INVARIANTS, off otherwise.
 [[nodiscard]] bool verify_requested(const Cli& cli);
+
+/// The one command-line door of every example and bench program: builds
+/// the Cli, calls `read` (when set) to read every flag the program knows,
+/// then rejects any flag it did not read and any positional token. A
+/// std::invalid_argument from either step is printed to stderr as
+/// "<program>: <message>". Returns 0 when the flags are good, else 2 — the
+/// program's exit code.
+[[nodiscard]] int parse_flags(const char* program, int argc, char** argv,
+                              const std::function<void(const Cli&)>& read = {});
 
 }  // namespace chk::util

@@ -4,6 +4,7 @@
 // round-trip, and the recovery report's logged_sends contract.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "apps/sor.hpp"
@@ -205,6 +206,22 @@ TEST(Export, ChromeTraceRoundTripsLosslessly) {
 
   EXPECT_EQ(rebuilt.events, original.events);
   EXPECT_EQ(rebuilt.hash, original.hash);
+
+  // The Chrome/Perfetto trace-event shape: metadata (M), spans (X) and
+  // instants (i), every non-metadata event fully addressed.
+  const auto& events = reparsed.at("traceEvents").items();
+  ASSERT_FALSE(events.empty());
+  for (const obs::json::Value& event : events) {
+    const std::string& ph = event.at("ph").as_string();
+    ASSERT_TRUE(ph == "X" || ph == "i" || ph == "M") << ph;
+    if (ph == "M") continue;
+    for (const char* key : {"name", "ts", "pid", "tid", "args"}) {
+      EXPECT_TRUE(event.contains(key)) << key;
+    }
+  }
+  const std::string& hash = reparsed.at("otherData").at("trace_hash").as_string();
+  EXPECT_EQ(hash.size(), 16u) << hash;
+  EXPECT_EQ(hash.find_first_not_of("0123456789abcdef"), std::string::npos) << hash;
 }
 
 TEST(Export, MetricsJsonCarriesEveryMetric) {
@@ -212,11 +229,39 @@ TEST(Export, MetricsJsonCarriesEveryMetric) {
   ASSERT_TRUE(result.obs);
   const obs::json::Value doc = obs::metrics_to_json(result.obs->metrics);
   const obs::json::Value parsed = obs::json::Value::parse(doc.dump());
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    ASSERT_TRUE(parsed.contains(section)) << section;
+  }
   EXPECT_EQ(parsed.at("counters").at("run/events").as_int(),
             static_cast<std::int64_t>(result.events));
   EXPECT_DOUBLE_EQ(parsed.at("gauges").at("run/exec_time_s").as_double(),
                    result.exec_time_s);
-  EXPECT_TRUE(parsed.at("histograms").contains("ckpt/window_s"));
+  ASSERT_TRUE(parsed.at("histograms").contains("ckpt/window_s"));
+  const obs::json::Value& windows = parsed.at("histograms").at("ckpt/window_s");
+  EXPECT_EQ(windows.at("counts").size(), windows.at("edges").size() + 1);
+}
+
+TEST(Export, AttributionJsonCarriesEveryBucketInOrder) {
+  // svc_latency, overhead_breakdown and external readers key on these
+  // names: every rank row and the total row carry all twelve buckets, then
+  // blocked_total_s and total_s, in this order.
+  const auto result = run_experiment(observed_sor(Scheme::kCoordNBM));
+  ASSERT_TRUE(result.obs);
+  const obs::json::Value doc = obs::json::Value::parse(
+      obs::attribution_to_json(result.obs->attribution).dump());
+  const std::vector<std::string> expected{
+      "sync_wait_s",       "mem_copy_s",           "stable_write_s",   "storage_contention_s",
+      "logging_s",         "frozen_stall_s",       "interference_s",   "recovery_s",
+      "retransmit_wait_s", "storage_retry_wait_s", "svc_queue_wait_s", "membership_wait_s",
+      "blocked_total_s",   "total_s"};
+  std::vector<obs::json::Value> rows = doc.at("ranks").items();
+  ASSERT_EQ(rows.size(), 8u);
+  rows.push_back(doc.at("total"));
+  for (const obs::json::Value& row : rows) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : row.members()) keys.push_back(key);
+    EXPECT_EQ(keys, expected);
+  }
 }
 
 // ---- recovery report contract (logged_sends lifecycle) ----------------------

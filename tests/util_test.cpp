@@ -221,6 +221,26 @@ TEST(Cli, RejectsUnreadFlagsAndStrayArguments) {
             std::string::npos);
 }
 
+TEST(Cli, BooleansAreStrict) {
+  const char* argv[] = {"prog", "--a=true", "--b=1",  "--c=yes",   "--d=false",
+                        "--e=0",    "--f=no", "--bare", "--no-neg", "--typo=flase",
+                        "--empty="};
+  Cli cli(11, const_cast<char**>(argv));
+  EXPECT_TRUE(cli.get_bool("a", false));
+  EXPECT_TRUE(cli.get_bool("b", false));
+  EXPECT_TRUE(cli.get_bool("c", false));
+  EXPECT_FALSE(cli.get_bool("d", true));
+  EXPECT_FALSE(cli.get_bool("e", true));
+  EXPECT_FALSE(cli.get_bool("f", true));
+  EXPECT_TRUE(cli.get_bool("bare", false));
+  EXPECT_FALSE(cli.get_bool("neg", true));
+  EXPECT_TRUE(cli.get_bool("absent", true));
+  EXPECT_EQ(error_of([&] { (void)cli.get_bool("typo", true); }),
+            "--typo: expected a boolean, got \"flase\"");
+  EXPECT_EQ(error_of([&] { (void)cli.get_bool("empty", false); }),
+            "--empty: expected a boolean, got \"\"");
+}
+
 TEST(Cli, FallbacksWhenAbsent) {
   const char* argv[] = {"prog"};
   Cli cli(1, const_cast<char**>(argv));

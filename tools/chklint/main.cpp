@@ -1,7 +1,7 @@
 // chklint — determinism-discipline static analyzer for the CHK-LIB tree.
 //
 //   chklint [--root=DIR] [--json=FILE] [--sarif=FILE] [--rule=NAME]...
-//           [--partition-list=FILE]... [--list-rules] [-q] [paths...]
+//           [--list-rules] [-q] [paths...]
 //
 // Paths are files or directories relative to --root (default: src bench
 // tests, whichever exist). Exit status: 0 clean, 1 findings, 2 usage or
@@ -37,7 +37,6 @@ const std::set<std::string> kExtensions = {".cpp", ".hpp", ".h", ".cc", ".cxx", 
 struct Options {
   fs::path root = ".";
   std::vector<std::string> paths;
-  std::vector<std::string> partition_lists;  // empty -> defaults
   std::set<std::string> only_rules;
   std::string json_out;
   std::string sarif_out;
@@ -49,8 +48,7 @@ int usage(const char* msg) {
   if (msg != nullptr) std::fprintf(stderr, "chklint: %s\n", msg);
   std::fprintf(stderr,
                "usage: chklint [--root=DIR] [--json=FILE] [--sarif=FILE]\n"
-               "               [--rule=NAME]... [--partition-list=FILE]...\n"
-               "               [--list-rules] [-q] [paths...]\n");
+               "               [--rule=NAME]... [--list-rules] [-q] [paths...]\n");
   return 2;
 }
 
@@ -58,7 +56,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     // `--flag value` and `--flag=value` are both accepted.
-    for (const char* flag : {"--root", "--json", "--sarif", "--rule", "--partition-list"}) {
+    for (const char* flag : {"--root", "--json", "--sarif", "--rule"}) {
       if (arg == flag && i + 1 < argc) {
         arg += std::string("=") + argv[++i];
         break;
@@ -75,8 +73,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.sarif_out = value("--sarif=");
     } else if (arg.rfind("--rule=", 0) == 0) {
       opt.only_rules.insert(value("--rule="));
-    } else if (arg.rfind("--partition-list=", 0) == 0) {
-      opt.partition_lists.push_back(value("--partition-list="));
     } else if (arg == "--list-rules") {
       opt.list_rules = true;
     } else if (arg == "-q" || arg == "--quiet") {
@@ -253,21 +249,8 @@ int main(int argc, char** argv) {
                 sources.end());
   for (SourceFile& sf : sources) chk::lint::lex(sf);
 
-  // Partition test list for bucket-partition-registration.
   Context ctx;
   ctx.files = &sources;
-  std::vector<std::string> partition_files = opt.partition_lists;
-  if (partition_files.empty())
-    partition_files = {".github/workflows/ci.yml", "tests/obs_test.cpp"};
-  std::string desc;
-  for (const std::string& p : partition_files) {
-    std::string text;
-    if (!read_file(root / p, text)) continue;
-    ctx.partition_text += text;
-    ctx.partition_loaded = true;
-    desc += (desc.empty() ? "" : " + ") + p;
-  }
-  ctx.partition_desc = desc.empty() ? "none of the configured list files exist" : desc;
 
   std::vector<Finding> findings;
   for (const auto& rule : chk::lint::all_rules()) {

@@ -1,4 +1,4 @@
-// The six determinism-discipline rules.
+// The five determinism-discipline rules.
 //
 // All rules are token-level heuristics tuned to this codebase's
 // conventions. They prefer false negatives over false positives, and every
@@ -444,48 +444,6 @@ void rule_ordered_emission(const Context& ctx, std::vector<Finding>& out) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Rule 6: bucket-partition-registration
-// ---------------------------------------------------------------------------
-
-void rule_bucket_partition(const Context& ctx, std::vector<Finding>& out) {
-  for (const SourceFile& file : *ctx.files) {
-    const Tokens& toks = file.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (toks[i].kind != Tok::kIdent || !is(toks[i], "buckets_to_json")) continue;
-      if (!is(toks[i + 1], "(")) continue;
-      const std::size_t close = match_forward(toks, i + 1);
-      if (close + 1 >= toks.size() || !is(toks[close + 1], "{")) continue;
-
-      // Definition found: collect every "<name>_s" string it emits.
-      int depth = 0;
-      for (std::size_t j = close + 1; j < toks.size(); ++j) {
-        if (is(toks[j], "{")) ++depth;
-        if (is(toks[j], "}") && --depth == 0) break;
-        if (toks[j].kind != Tok::kString || toks[j].text.size() < 4) continue;
-        const std::string key(toks[j].text.substr(1, toks[j].text.size() - 2));
-        if (key.size() < 3 || key.substr(key.size() - 2) != "_s") continue;
-        if (!ctx.partition_loaded) {
-          out.push_back({"bucket-partition-registration", file.path, toks[j].line,
-                         toks[j].col,
-                         "attribution bucket \"" + key +
-                             "\" cannot be cross-checked: no partition test "
-                             "list found (expected " + ctx.partition_desc + ")"});
-        } else if (ctx.partition_text.find(key) == std::string::npos) {
-          out.push_back({"bucket-partition-registration", file.path, toks[j].line,
-                         toks[j].col,
-                         "attribution bucket \"" + key +
-                             "\" is emitted but absent from the partition test "
-                             "list (" + ctx.partition_desc +
-                             "); register it so the exact-partition check "
-                             "covers it"});
-        }
-      }
-      break;  // one definition per tree is the convention
-    }
-  }
-}
-
 }  // namespace
 
 const std::vector<RuleInfo>& all_rules() {
@@ -511,10 +469,6 @@ const std::vector<RuleInfo>& all_rules() {
        "no std::unordered_* containers in trace/JSON/metrics emission paths "
        "(src/obs/, src/svc/, bench/)",
        &rule_ordered_emission},
-      {"bucket-partition-registration",
-       "every attribution bucket emitted by buckets_to_json must appear in the "
-       "partition test list",
-       &rule_bucket_partition},
   };
   return rules;
 }

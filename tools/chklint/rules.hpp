@@ -32,13 +32,6 @@ struct Finding {
 
 struct Context {
   const std::vector<SourceFile>* files = nullptr;
-  /// Concatenated text of the partition-list files (ci.yml + obs test by
-  /// default) that every attribution bucket key must appear in.
-  std::string partition_text;
-  /// Human-readable description of where partition_text came from.
-  std::string partition_desc;
-  /// True when at least one partition-list file was actually read.
-  bool partition_loaded = false;
 };
 
 struct RuleInfo {
