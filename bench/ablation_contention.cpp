@@ -65,7 +65,7 @@ void print_table(const Grid& grid) {
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk::bench;
   if (const int rc = chk::util::parse_flags("ablation_contention", argc, argv)) return rc;
   std::vector<ExperimentConfig> bases;
@@ -81,4 +81,6 @@ int main(int argc, char** argv) {
       });
   print_table(grid);
   return 0;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("ablation_contention", err);
 }

@@ -97,7 +97,7 @@ void write_json(const Grid& grid) {
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk::bench;
   if (const int rc = chk::util::parse_flags("ablation_interval", argc, argv)) return rc;
   const BenchRow row = chk::harness::find_row("SOR-1024");
@@ -112,4 +112,6 @@ int main(int argc, char** argv) {
   print_table(grid);
   write_json(grid);
   return 0;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("ablation_interval", err);
 }

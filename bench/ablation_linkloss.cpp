@@ -49,13 +49,13 @@ Options read_options(const util::Cli& cli) {
   o.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0));
   o.intervals = cli.get_double("intervals", 5.0);
   o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  o.json_out = cli.get("json-out", "BENCH_linkloss.json");
+  o.json_out = cli.get_path("json-out").value_or("BENCH_linkloss.json");
   return o;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   if (const int rc = util::parse_flags("ablation_linkloss", argc, argv,
                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
@@ -160,4 +160,6 @@ int main(int argc, char** argv) {
   obs::write_text_file(opt.json_out, doc.dump() + "\n");
   std::printf("\nWrote %s\n", opt.json_out.c_str());
   return all_ok ? 0 : 1;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("ablation_linkloss", err);
 }

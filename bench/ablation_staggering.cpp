@@ -65,7 +65,7 @@ void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk::bench;
   if (const int rc = chk::util::parse_flags("ablation_staggering", argc, argv)) return rc;
   const std::vector<BenchRow> rows{chk::harness::find_row("SOR-1024"),
@@ -81,4 +81,6 @@ int main(int argc, char** argv) {
       });
   print_table(rows, grid);
   return 0;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("ablation_staggering", err);
 }

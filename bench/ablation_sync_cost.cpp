@@ -131,11 +131,13 @@ void write_json(const std::vector<Cell>& cells) {
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk::bench;
   if (const int rc = chk::util::parse_flags("ablation_sync_cost", argc, argv)) return rc;
   const std::vector<Cell> cells = run_cells();
   print_table(cells);
   write_json(cells);
   return 0;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("ablation_sync_cost", err);
 }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <exception>
 #include <future>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -68,16 +70,30 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& wor
     return;
   }
   std::atomic<std::size_t> next{0};
+  std::mutex failure_mutex;
+  std::exception_ptr failure;
   std::vector<std::future<void>> pool;
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    pool.push_back(std::async(std::launch::async, [&next, count, &work] {
-      for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-        work(i);
+    pool.push_back(std::async(std::launch::async, [&, count] {
+      try {
+        for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+          work(i);
+        }
+      } catch (...) {
+        next = count;  // hand out no further items
+        const std::lock_guard lock(failure_mutex);
+        if (!failure) failure = std::current_exception();
       }
     }));
   }
   for (auto& worker : pool) worker.get();
+  if (failure) std::rethrow_exception(failure);
+}
+
+int simulation_failed(const char* driver, const des::SimError& err) {
+  std::fprintf(stderr, "%s: simulation failed: %s\n", driver, err.what());
+  return 1;
 }
 
 Grid run_grid(const std::vector<ExperimentConfig>& bases, std::size_t columns,

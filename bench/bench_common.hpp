@@ -11,6 +11,8 @@
 //   4. a Verdict checks every claim the driver makes about its runs and its
 //      document, and decides the exit code (1 on any failed check). The
 //      run-twice ctest tests run the drivers, so these checks gate tier-1.
+//      A simulation that throws des::SimError instead of finishing is
+//      reported by simulation_failed(), also exit 1.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "des/simulator.hpp"
 #include "harness/catalog.hpp"
 #include "harness/experiment.hpp"
 #include "obs/json.hpp"
@@ -66,9 +69,17 @@ class Verdict {
 [[nodiscard]] bool is_trace_hash(const std::string& hash);
 
 /// Run work(0..count-1) on a small thread pool (bounded by the hardware
-/// concurrency); blocks until every item has finished. The first exception
-/// propagates to the caller.
+/// concurrency); blocks until every started item has finished. Once an item
+/// throws, no further items start, and the first exception propagates to
+/// the caller.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& work);
+
+/// The skeleton's last step: a des::SimError escaping a driver's runs (a
+/// documented known limit failing fast, say) prints
+/// "<driver>: simulation failed: <what>" on stderr; the driver exits 1.
+/// Every driver's main is a function-try-block ending in
+///   catch (const des::SimError& err) { return simulation_failed("<driver>", err); }
+[[nodiscard]] int simulation_failed(const char* driver, const des::SimError& err);
 
 /// out[i] = work(i) for i in [0, count), computed through parallel_for.
 template <class T>

@@ -162,7 +162,7 @@ Options read_options(const util::Cli& cli) {
         "--target-coordinator needs --detect-timeout > 0 — without the "
         "membership service there is no elected coordinator to aim at");
   }
-  o.json_out = cli.get("json-out", "BENCH_campaign.json");
+  o.json_out = cli.get_path("json-out").value_or("BENCH_campaign.json");
   return o;
 }
 
@@ -255,7 +255,7 @@ void check_document(const obs::json::Value& doc, const Options& opt, bench::Verd
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   if (const int rc = util::parse_flags("campaign", argc, argv,
                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
@@ -295,6 +295,11 @@ int main(int argc, char** argv) {
         config.campaign_seed = opt.campaign_seed;
         config.max_failures_per_run = opt.max_failures;
         config.expected_digest = normal.digest;
+        // A run still going after 1000x the failure-free event count is
+        // livelocked (with the transport off, a lost app message blocks its
+        // receiver forever while checkpoint timers keep firing); the event
+        // limit turns it into a SimError instead of a 2^40-event run.
+        config.base.max_events = normal.events * 1000;
         if (opt.link_faults.enabled()) {
           config.link_faults = opt.link_faults;
           config.reliable_transport = opt.transport;
@@ -407,4 +412,6 @@ int main(int argc, char** argv) {
   obs::write_text_file(opt.json_out, doc.dump() + "\n");
   std::printf("\nWrote %s\n", opt.json_out.c_str());
   return verdict.exit_code();
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("campaign", err);
 }

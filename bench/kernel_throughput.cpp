@@ -184,7 +184,7 @@ Options read_options(const util::Cli& cli) {
   o.iters = static_cast<std::size_t>(cli.get_int("iters", quick ? 60 : 300, 1));
   o.payload = static_cast<std::size_t>(cli.get_int("payload", 32, 0));
   o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  o.json_out = cli.get("json-out", "BENCH_kernel.json");
+  o.json_out = cli.get_path("json-out").value_or("BENCH_kernel.json");
   if (o.payload > 4096) throw std::invalid_argument("--payload must be <= 4096");
   return o;
 }
@@ -234,7 +234,7 @@ void check_document(const obs::json::Value& doc, const Options& opt, bench::Verd
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   if (const int rc = util::parse_flags("kernel_throughput", argc, argv,
                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
@@ -338,4 +338,6 @@ int main(int argc, char** argv) {
   obs::write_text_file(opt.json_out, doc.dump() + "\n");
   std::printf("wrote %s\n", opt.json_out.c_str());
   return verdict.exit_code();
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("kernel_throughput", err);
 }

@@ -98,15 +98,15 @@ Options read_options(const util::Cli& cli) {
     throw std::invalid_argument("--trace-scheme=" + o.trace_scheme +
                                 " is not a checkpointing scheme");
   }
-  if (cli.has("trace-out")) o.trace_out = cli.get("trace-out", "trace.json");
-  if (cli.has("metrics-out")) o.metrics_out = cli.get("metrics-out", "metrics.json");
-  o.json_out = cli.get("json-out", "BENCH_overhead_breakdown.json");
+  o.trace_out = cli.get_path("trace-out");
+  o.metrics_out = cli.get_path("metrics-out");
+  o.json_out = cli.get_path("json-out").value_or("BENCH_overhead_breakdown.json");
   return o;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   if (const int rc = util::parse_flags("overhead_breakdown", argc, argv,
                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
@@ -200,4 +200,6 @@ int main(int argc, char** argv) {
     std::printf("Wrote %s\n", opt.json_out.c_str());
   }
   return verdict.exit_code();
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("overhead_breakdown", err);
 }

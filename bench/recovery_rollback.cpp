@@ -97,7 +97,7 @@ void print_table(const std::vector<ExperimentResult>& results) {
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk::bench;
   if (const int rc = chk::util::parse_flags("recovery_rollback", argc, argv)) return rc;
   // One failure-free baseline per application, then every (case, failure
@@ -129,4 +129,6 @@ int main(int argc, char** argv) {
     }
   }
   return rc;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("recovery_rollback", err);
 }

@@ -60,7 +60,7 @@ void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk::bench;
   if (const int rc = chk::util::parse_flags("storage_overhead", argc, argv)) return rc;
   const std::vector<BenchRow> rows{chk::harness::find_row("SOR-768"),
@@ -78,4 +78,6 @@ int main(int argc, char** argv) {
       });
   print_table(rows, grid);
   return 0;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("storage_overhead", err);
 }

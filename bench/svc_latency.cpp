@@ -79,7 +79,7 @@ Options read_options(const util::Cli& cli) {
   o.interval = cli.get_double("interval", 0.8);
   o.max_failures = static_cast<std::uint32_t>(cli.get_int("max-failures", 2, 0));
   o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  o.json_out = cli.get("json-out", "BENCH_svc.json");
+  o.json_out = cli.get_path("json-out").value_or("BENCH_svc.json");
   if (o.nodes < 1 || o.nodes > 64 || o.horizon <= 0 || o.interval <= 0) {
     throw std::invalid_argument("--nodes in [1,64], --horizon/--interval > 0");
   }
@@ -244,7 +244,7 @@ obs::HistogramSnapshot latency_snapshot(const svc::SvcMetrics& m) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   if (const int rc = util::parse_flags("svc_latency", argc, argv,
                                        [&](const util::Cli& cli) { opt = read_options(cli); })) {
@@ -573,4 +573,6 @@ int main(int argc, char** argv) {
   obs::write_text_file(opt.json_out, doc.dump() + "\n");
   std::printf("\nWrote %s\n", opt.json_out.c_str());
   return verdict.exit_code();
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("svc_latency", err);
 }

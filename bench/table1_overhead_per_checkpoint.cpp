@@ -58,7 +58,7 @@ void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk::bench;
   if (const int rc = chk::util::parse_flags("table1_overhead_per_checkpoint", argc, argv)) {
     return rc;
@@ -77,4 +77,6 @@ int main(int argc, char** argv) {
   write_bench_json("BENCH_table1.json",
                    table_json("table1_overhead_per_checkpoint", rows, grid));
   return 0;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("table1_overhead_per_checkpoint", err);
 }

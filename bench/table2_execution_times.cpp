@@ -36,7 +36,7 @@ void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk::bench;
   if (const int rc = chk::util::parse_flags("table2_execution_times", argc, argv)) return rc;
   const std::vector<BenchRow> rows = chk::harness::table23_rows();
@@ -52,4 +52,6 @@ int main(int argc, char** argv) {
   print_table(rows, grid);
   write_bench_json("BENCH_table2.json", table_json("table2_execution_times", rows, grid));
   return 0;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("table2_execution_times", err);
 }

@@ -56,7 +56,7 @@ void print_table(const std::vector<BenchRow>& rows, const Grid& grid) {
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk::bench;
   if (const int rc = chk::util::parse_flags("table3_overhead_percent", argc, argv)) return rc;
   const std::vector<BenchRow> rows = chk::harness::table23_rows();
@@ -72,4 +72,6 @@ int main(int argc, char** argv) {
   print_table(rows, grid);
   write_bench_json("BENCH_table3.json", table_json("table3_overhead_percent", rows, grid));
   return 0;
+} catch (const chk::des::SimError& err) {
+  return chk::bench::simulation_failed("table3_overhead_percent", err);
 }

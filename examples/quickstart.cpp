@@ -44,8 +44,8 @@ Options read_options(const util::Cli& cli) {
   config.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1));
   config.verify = util::verify_requested(cli);
   if (cli.has("interval-s")) o.interval_s = cli.get_double("interval-s", 30.0);
-  if (cli.has("trace-out")) o.trace_out = cli.get("trace-out", "trace.json");
-  if (cli.has("metrics-out")) o.metrics_out = cli.get("metrics-out", "metrics.json");
+  o.trace_out = cli.get_path("trace-out");
+  o.metrics_out = cli.get_path("metrics-out");
   config.observe = o.trace_out.has_value() || o.metrics_out.has_value();
   return o;
 }

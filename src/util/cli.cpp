@@ -23,11 +23,15 @@ Cli::Cli(int argc, char** argv) {
     std::string_view body = arg.substr(2);
     const auto eq = body.find('=');
     if (eq != std::string_view::npos) {
-      values_[std::string(body.substr(0, eq))] = std::string(body.substr(eq + 1));
+      const std::string key(body.substr(0, eq));
+      values_[key] = std::string(body.substr(eq + 1));
+      valueless_.erase(key);
     } else if (body.starts_with("no-")) {
       values_[std::string(body.substr(3))] = "false";
+      valueless_.insert(std::string(body.substr(3)));
     } else {
       values_[std::string(body)] = "true";
+      valueless_.insert(std::string(body));
     }
   }
 }
@@ -43,6 +47,15 @@ bool Cli::has(const std::string& key) const { return find(key) != nullptr; }
 std::string Cli::get(const std::string& key, const std::string& fallback) const {
   const std::string* value = find(key);
   return value == nullptr ? fallback : *value;
+}
+
+std::optional<std::string> Cli::get_path(const std::string& key) const {
+  const std::string* value = find(key);
+  if (value == nullptr) return std::nullopt;
+  if (value->empty() || valueless_.contains(key)) {
+    throw std::invalid_argument("--" + key + ": expected a file path");
+  }
+  return *value;
 }
 
 namespace {

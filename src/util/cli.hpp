@@ -9,6 +9,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,6 +48,10 @@ class Cli {
   [[nodiscard]] std::vector<double> get_doubles(const std::string& key,
                                                 const std::string& fallback, double lo,
                                                 double hi) const;
+  /// File path flag: nullopt when absent. Throws std::invalid_argument
+  /// naming the flag when it carries no path (bare --key, --no-key or
+  /// --key=), which would otherwise write a file named "true".
+  [[nodiscard]] std::optional<std::string> get_path(const std::string& key) const;
   /// Comma-separated list of names ("SOR-384,NQUEENS-14"), empty tokens
   /// dropped. Throws std::invalid_argument naming the flag if none is left.
   [[nodiscard]] std::vector<std::string> get_list(const std::string& key,
@@ -61,6 +66,7 @@ class Cli {
   const std::string* find(const std::string& key) const;
 
   std::map<std::string, std::string> values_;
+  std::set<std::string> valueless_;  ///< given last as bare --key or --no-key
   std::string stray_;
   mutable std::set<std::string> read_;
 };

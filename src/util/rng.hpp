@@ -83,6 +83,9 @@ class Rng {
 
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
+  /// Equal generators produce equal streams.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
   /// Exponential with the given mean (> 0). Used for jittered timers.
   double exponential(double mean) noexcept {
     double u;

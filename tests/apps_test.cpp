@@ -4,6 +4,11 @@
 // unchanged result.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "apps/asp.hpp"
 #include "apps/gauss.hpp"
 #include "apps/ising.hpp"
@@ -164,6 +169,112 @@ TEST(Ising, SpinGlassStaysFrustrated) {
   // even at low temperature (frustration).
   const double cold = run_digest(make_ising({.n = 48, .sweeps = 60, .beta = 1.2}));
   EXPECT_LT(std::abs(cold) / (48.0 * 48.0), 0.3);
+}
+
+// ---- the ISING sweep kernel against the literal Metropolis loop ----------
+
+/// The oracle: the plain Metropolis sweep over local rows 1..rows, as
+/// IsingKernel documents it. Test code only; the kernel is the one
+/// implementation the app runs.
+void literal_sweep(std::vector<std::int8_t>& spins, const std::vector<float>& j_right,
+                   const std::vector<float>& j_down, std::size_t n, double beta,
+                   util::Rng& rng) {
+  const std::size_t rows = j_right.size() / n;
+  auto spin = [&](std::size_t i, std::size_t j) -> std::int8_t& { return spins[i * n + j]; };
+  for (std::size_t i = 1; i <= rows; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t left = j == 0 ? n - 1 : j - 1;
+      const std::size_t right = j + 1 == n ? 0 : j + 1;
+      const float field = j_down[(i - 1) * n + j] * static_cast<float>(spin(i - 1, j)) +
+                          j_down[i * n + j] * static_cast<float>(spin(i + 1, j)) +
+                          j_right[(i - 1) * n + left] * static_cast<float>(spin(i, left)) +
+                          j_right[(i - 1) * n + j] * static_cast<float>(spin(i, right));
+      const double delta = 2.0 * static_cast<double>(spin(i, j)) * static_cast<double>(field);
+      if (delta <= 0.0 || rng.uniform() < std::exp(-beta * delta)) {
+        spin(i, j) = static_cast<std::int8_t>(-spin(i, j));
+      }
+    }
+  }
+}
+
+TEST(Ising, SweepMatchesLiteralLoop) {
+  constexpr std::size_t kRanks = 7;  // neither 48 nor 100 splits evenly
+  for (const std::size_t n : {std::size_t{48}, std::size_t{100}}) {
+    for (const double beta : {0.05, 0.4407, 1.2, 4.0}) {
+      for (const bool glass : {true, false}) {
+        for (const std::size_t rank : {std::size_t{0}, kRanks - 1}) {
+          const std::size_t rows = block_range(n, kRanks, rank).size();
+          util::Rng init(n * 1000 + rank);
+          std::vector<std::int8_t> spins((rows + 2) * n);
+          for (auto& s : spins) s = init.bernoulli(0.5) ? 1 : -1;
+          std::vector<float> j_right(rows * n);
+          std::vector<float> j_down((rows + 1) * n);
+          for (auto* bonds : {&j_right, &j_down}) {
+            for (float& bond : *bonds) {
+              bond = glass ? static_cast<float>(init.uniform(-1.0, 1.0)) : 1.0f;
+            }
+          }
+          std::vector<std::int8_t> oracle = spins;
+          util::Rng rng(42 + rank);
+          util::Rng oracle_rng = rng;
+          IsingKernel kernel(n, beta);
+          for (int sweep = 0; sweep < 12; ++sweep) {
+            // Fresh halos each sweep, as the exchange would bring.
+            for (std::size_t j = 0; j < n; ++j) {
+              for (const std::size_t halo : {std::size_t{0}, rows + 1}) {
+                spins[halo * n + j] = oracle[halo * n + j] = init.bernoulli(0.5) ? 1 : -1;
+              }
+            }
+            kernel.sweep(spins, j_right, j_down, rng);
+            literal_sweep(oracle, j_right, j_down, n, beta, oracle_rng);
+            ASSERT_EQ(spins, oracle) << "n=" << n << " beta=" << beta << " glass=" << glass
+                                     << " rows=" << rows << " sweep=" << sweep;
+            ASSERT_TRUE(rng == oracle_rng) << "n=" << n << " beta=" << beta
+                                           << " glass=" << glass << " sweep=" << sweep;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Ising, AcceptBracketIsExact) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto literal = [](double delta, double u, double beta) {
+    return delta <= 0.0 || u < std::exp(-beta * delta);
+  };
+  // 0 and 100 leave the table unbracketed: every uphill proposal falls back.
+  for (const double beta : {0.05, 0.4407, 1.2, 4.0, 0.0, 100.0}) {
+    const IsingKernel kernel(1, beta);
+    for (std::size_t k = 0; k < IsingKernel::kBuckets; ++k) {
+      const auto [lo, hi] = kernel.bracket(k);
+      ASSERT_LE(lo, hi) << "bucket " << k;
+      const double edge = static_cast<double>(k) / IsingKernel::kScale;
+      const double next_edge = static_cast<double>(k + 1) / IsingKernel::kScale;
+      std::vector<double> deltas{std::nextafter(next_edge, 0.0)};
+      for (int step = 0; step < 8; ++step) {
+        deltas.push_back(edge + step / (8.0 * IsingKernel::kScale));
+      }
+      if (k == 0) deltas.push_back(std::numeric_limits<double>::denorm_min());
+      for (const double bound : {lo, hi}) {
+        for (const double u : {bound, std::nextafter(bound, 0.0), std::nextafter(bound, inf)}) {
+          if (!(u >= 0.0 && u < 1.0)) continue;
+          for (const double delta : deltas) {
+            ASSERT_EQ(kernel.accepts(delta, u), literal(delta, u, beta))
+                << "beta=" << beta << " delta=" << delta << " u=" << u;
+          }
+        }
+      }
+    }
+    // Downhill, past the grid and non-finite energy changes.
+    for (const double delta : {0.0, -0.0, -3.5, 8.0, 8.0078125, 9.0, 1e300, inf, -inf,
+                               std::numeric_limits<double>::quiet_NaN()}) {
+      for (const double u : {0.0, 1e-300, 0.25, 0.999, std::nextafter(1.0, 0.0)}) {
+        ASSERT_EQ(kernel.accepts(delta, u), literal(delta, u, beta))
+            << "beta=" << beta << " delta=" << delta << " u=" << u;
+      }
+    }
+  }
 }
 
 // ---- checkpoint/recovery round trips for every app ------------------------

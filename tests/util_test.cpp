@@ -171,6 +171,20 @@ std::string error_of(Fn fn) {
   return "";
 }
 
+TEST(Cli, PathFlagsRequireAPath) {
+  const char* argv[] = {"prog", "--trace-out", "--metrics-out=m.json", "--json-out=",
+                        "--no-log", "--out", "--out=o.json"};
+  Cli cli(7, const_cast<char**>(argv));
+  EXPECT_EQ(error_of([&] { (void)cli.get_path("trace-out"); }),
+            "--trace-out: expected a file path");
+  EXPECT_EQ(cli.get_path("metrics-out"), "m.json");
+  EXPECT_EQ(error_of([&] { (void)cli.get_path("json-out"); }),
+            "--json-out: expected a file path");
+  EXPECT_EQ(error_of([&] { (void)cli.get_path("log"); }), "--log: expected a file path");
+  EXPECT_EQ(cli.get_path("out"), "o.json");  // the last form given wins
+  EXPECT_EQ(cli.get_path("absent"), std::nullopt);
+}
+
 TEST(Cli, StrictIntegersAndNumbersRejectTrailingGarbage) {
   const char* argv[] = {"prog", "--nodes=8x", "--runs=-1", "--big=99999999999999999999",
                         "--empty=",  "--rate=0.5x", "--ok=-3"};
